@@ -17,8 +17,9 @@ filters children as they are generated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
+from repro.bnb import native
 from repro.bnb.bounds import LOWER_BOUNDS, search_context
 from repro.bnb.kernel import BranchKernel, expand_positions
 from repro.bnb.relationship import insertion_is_consistent
@@ -42,6 +43,10 @@ _EPS = 1e-9
 #: clock hundreds of times a second, far finer than any sane
 #: ``interval_seconds``).
 _PROGRESS_TICK_STRIDE = 64
+
+#: Loop iterations per native run when no tracker needs ticks: about
+#: 10 ms of search between two points where Python may step in.
+_NATIVE_STRIDE = 16384
 
 
 @dataclass
@@ -89,6 +94,9 @@ class BBUResult:
     optimal: bool = True
     #: All cost-optimal trees, populated when ``collect_all`` is set.
     all_trees: List[UltrametricTree] = field(default_factory=list)
+    #: The search's best complete topology behind ``tree`` (``None`` when
+    #: the UPGMM seed is returned because no search node matched it).
+    topology: Optional[PartialTopology] = None
 
 
 class BranchAndBoundSolver:
@@ -259,21 +267,149 @@ class BranchAndBoundSolver:
         stats.initial_upper_bound = upper_bound
         if self.on_incumbent is not None:
             self.on_incumbent(upper_bound, seed)
-        best: Optional[PartialTopology] = None
-        best_complete: List[PartialTopology] = []
 
         root = PartialTopology.initial(half)
         root.lower_bound = root.cost + tails[2]
+        keep_margin = _EPS if self.collect_all else -_EPS
+        if tracker is not None:
+            tracker.start()
+        best_complete: List[PartialTopology] = []
+        lib = self._native_library(n)
+        # When the seed already prunes the root there is nothing to
+        # search (most compact-pipeline subproblems): the Python loop
+        # settles that without paying the native set-up.
+        if lib is not None and root.lower_bound <= upper_bound + keep_margin:
+            with native.NativeSearch(
+                lib, half, tails, [root], upper_bound,
+                keep_margin=keep_margin, eps=_EPS,
+            ) as search:
+                upper_bound = self._search_native(
+                    search, stats, tracker, labels
+                )
+                best = search.best()
+        else:
+            best, upper_bound = self._search_python(
+                root, half, tails, values, upper_bound, keep_margin,
+                stats, tracker, labels, best_complete,
+            )
+
+        stats.best_cost = upper_bound if best is not None else stats.initial_upper_bound
+        stats.elapsed_seconds = rec.clock() - start
+
+        if best is None:
+            # The UPGMM seed was never beaten (it is optimal or the node
+            # limit stopped us first); return it.
+            tree = seed
+            cost = upper_bound
+        else:
+            tree = best.to_tree(labels)
+            cost = best.cost
+        result = BBUResult(
+            tree,
+            cost,
+            stats,
+            optimal=not stats.node_limit_hit,
+            topology=best,
+        )
+        if self.collect_all:
+            unique = {}
+            for topo in best_complete:
+                if topo.cost <= cost + _EPS:
+                    unique[topo.signature()] = topo
+            result.all_trees = [t.to_tree(labels) for t in unique.values()]
+            if not result.all_trees and best is not None:
+                result.all_trees = [tree]
+        return result
+
+    # ------------------------------------------------------------------
+    def _native_library(self, n: int):
+        """The native core when this solve can use it, else ``None``.
+
+        It runs the plain search only: the NumPy kernel's species range,
+        no 3-3 filter and no ``collect_all``.  Everything else (and a
+        failed build) takes :meth:`_search_python`, which decides
+        identically.
+        """
+        if (
+            not self.use_kernel
+            or self.collect_all
+            or self.relationship_33
+            or self.enforce_all_33
+        ):
+            return None
+        return native.library_for(n)
+
+    def _search_native(
+        self,
+        search: native.NativeSearch,
+        stats: SearchStats,
+        tracker: Optional[ProgressTracker],
+        labels: List[str],
+    ) -> float:
+        """Drive the C search in strides; returns the final upper bound.
+
+        The stride counts loop iterations (pops), so with a tracker the
+        ticks land exactly where :meth:`_search_python`'s countdown puts
+        them: every ``_PROGRESS_TICK_STRIDE`` iterations, and right after
+        an incumbent improvement (the C run returns after that
+        expansion).  Node limits, ticks and ``on_incumbent`` are all
+        decided here, between strides.
+        """
+        header = search.header
+        stride = _NATIVE_STRIDE if tracker is None else _PROGRESS_TICK_STRIDE
+        while header.open_size:
+            if (
+                self.node_limit is not None
+                and header.nodes_expanded >= self.node_limit
+            ):
+                stats.node_limit_hit = True
+                break
+            if tracker is not None:
+                # The C header carries nodes_expanded / nodes_created,
+                # which is all a tick reads (and only when it reports).
+                tracker.tick(header.upper_bound, header, search)
+            status = search.run(stride, self.node_limit)
+            if status == native.IMPROVED and self.on_incumbent is not None:
+                for child in search.incumbents():
+                    self.on_incumbent(child.cost, child.to_tree(labels))
+        for counter in (
+            "nodes_created", "nodes_expanded", "nodes_pruned", "ub_updates",
+            "max_open_size",
+        ):
+            setattr(stats, counter, getattr(header, counter))
+        upper_bound = header.upper_bound
+        if tracker is not None:
+            # On a node-limit break the stack is non-empty, so the
+            # closing snapshot reports the honest residual gap.
+            tracker.final(upper_bound, stats, search)
+        return upper_bound
+
+    def _search_python(
+        self,
+        root: PartialTopology,
+        half: List[List[float]],
+        tails: List[float],
+        values: List[List[float]],
+        upper_bound: float,
+        keep_margin: float,
+        stats: SearchStats,
+        tracker: Optional[ProgressTracker],
+        labels: List[str],
+        best_complete: List[PartialTopology],
+    ) -> Tuple[Optional[PartialTopology], float]:
+        """The reference DFS loop: every option, NumPy kernel or scalar.
+
+        Returns ``(best, upper_bound)``; with ``collect_all`` the optimal
+        complete topologies are appended to ``best_complete``.
+        """
+        n = len(half)
+        best: Optional[PartialTopology] = None
         open_nodes: List[PartialTopology] = [root]
         stats.nodes_created = 1
-        keep_margin = _EPS if self.collect_all else -_EPS
-
         check_33 = self.relationship_33 or self.enforce_all_33
         kernel = BranchKernel(half) if self.use_kernel else None
         if kernel is not None and not kernel.supported:
             kernel = None  # oversized matrix: scalar fallback
-        if tracker is not None:
-            tracker.start()
         progress_countdown = 0
         progress_last_ub = upper_bound
 
@@ -341,36 +477,11 @@ class BranchAndBoundSolver:
                 if len(open_nodes) > stats.max_open_size:
                     stats.max_open_size = len(open_nodes)
 
-        stats.best_cost = upper_bound if best is not None else stats.initial_upper_bound
-        stats.elapsed_seconds = rec.clock() - start
         if tracker is not None:
             # On a node-limit break ``open_nodes`` is non-empty, so the
             # closing snapshot reports the honest residual gap.
             tracker.final(upper_bound, stats, open_nodes)
-
-        if best is None:
-            # The UPGMM seed was never beaten (it is optimal or the node
-            # limit stopped us first); return it.
-            tree = seed
-            cost = upper_bound
-        else:
-            tree = best.to_tree(labels)
-            cost = best.cost
-        result = BBUResult(
-            tree,
-            cost,
-            stats,
-            optimal=not stats.node_limit_hit,
-        )
-        if self.collect_all:
-            unique = {}
-            for topo in best_complete:
-                if topo.cost <= cost + _EPS:
-                    unique[topo.signature()] = topo
-            result.all_trees = [t.to_tree(labels) for t in unique.values()]
-            if not result.all_trees and best is not None:
-                result.all_trees = [tree]
-        return result
+        return best, upper_bound
 
 
 def exact_mut(matrix: DistanceMatrix, **solver_options) -> BBUResult:

@@ -65,18 +65,38 @@ def _load_matrix(path: str) -> DistanceMatrix:
     return read_phylip(file)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.version import fingerprint_summary
+class _VersionAction(argparse.Action):
+    """``--version``: the engine fingerprint and the branching backend.
 
+    Resolved only when the flag is given: finding the backend may load
+    (or, once per source version, compile) the native search core.
+    """
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, help=None):
+        super().__init__(
+            option_strings, dest=dest, default=argparse.SUPPRESS, nargs=0,
+            help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro.bnb.native import backend
+        from repro.version import fingerprint_summary
+
+        print(f"repro-mut {fingerprint_summary()}")
+        print(f"branching: {backend()}")
+        parser.exit()
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mut",
         description="Minimum ultrametric evolutionary trees via compact sets",
     )
     parser.add_argument(
-        "--version", action="version",
-        version=f"repro-mut {fingerprint_summary()}",
+        "--version", action=_VersionAction,
         help="print the engine fingerprint (version, cache-key version, "
-             "trace schema, git sha) and exit",
+             "trace schema, git sha) and the active branching backend "
+             "(native, or numpy with the reason), then exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

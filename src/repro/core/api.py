@@ -7,7 +7,7 @@ the repository implements is reachable by name:
 =================  =========================================================
 ``"compact"``      compact-set decomposition + sequential branch-and-bound
 ``"compact-parallel"``  compact-set decomposition + simulated-cluster B&B
-``"bnb"``          plain sequential Algorithm BBU (exact, batched kernel)
+``"bnb"``          plain sequential Algorithm BBU (exact, native C core)
 ``"bnb-scalar"``   sequential BBU with the scalar branching reference
 ``"parallel-bnb"`` plain simulated-cluster Algorithm BBU (exact)
 ``"multiprocess"`` real multi-core Algorithm BBU (exact, worker processes)

@@ -104,6 +104,16 @@ def format_progress_line(snapshot: Dict[str, object]) -> str:
     )
 
 
+def _frontier_bound(open_nodes) -> float:
+    """The smallest lower bound of a non-empty open list: a sequence of
+    nodes, or a search that reports it (``min_lower_bound()``, the
+    native core's C-owned stack)."""
+    reader = getattr(open_nodes, "min_lower_bound", None)
+    if reader is not None:
+        return reader()
+    return min(node.lower_bound for node in open_nodes)
+
+
 class ProgressTracker:
     """Throttled incumbent/bound snapshot stream for one B&B solve.
 
@@ -200,8 +210,8 @@ class ProgressTracker:
 
         ``stats`` is the solver's ``SearchStats`` (read for
         ``nodes_expanded`` / ``nodes_created``); ``open_nodes`` the live
-        open list, scanned for the best lower bound *only* when a report
-        actually fires.
+        open list (or a sized search with ``min_lower_bound()``), scanned
+        for the best lower bound *only* when a report actually fires.
         """
         if self._t0 is None:
             self.start()
@@ -239,7 +249,7 @@ class ProgressTracker:
         # here (a firing report), never per tick.  Clamped monotone
         # non-decreasing and never above the incumbent.
         if open_nodes:
-            lb = min(node.lower_bound for node in open_nodes)
+            lb = _frontier_bound(open_nodes)
         elif final:
             lb = incumbent
         else:

@@ -33,6 +33,7 @@ Failure taxonomy (all :class:`RuntimeError` subclasses, so existing
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_lib
 import time
 import traceback
@@ -199,6 +200,8 @@ def gather_one_per_worker(
 # ----------------------------------------------------------------------
 #: Sentinel telling a slot's child process to exit its task loop.
 _STOP = None
+#: How often an idle slot child checks that its parent is still alive.
+_ORPHAN_POLL_SECONDS = 0.5
 
 #: Child-process side of the live progress channel: the result queue of
 #: the task currently executing in this process, or ``None`` outside a
@@ -234,10 +237,20 @@ def _slot_main(runner: Callable, task_queue, result_queue) -> None:
     doubles as a live progress channel (see :func:`emit_slot_progress`):
     ``("progress", payload)`` messages may precede the final
     ``("ok", ...)`` / ``("error", ...)`` message.
+
+    The loop also exits once its parent is gone (the parent pid
+    changes when the parent dies and the child is re-parented), so a
+    SIGKILLed server does not leave its workers waiting forever.
     """
     global _SLOT_PROGRESS_QUEUE
+    parent = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue_lib.Empty:
+            if os.getppid() != parent:
+                return
+            continue
         if task is _STOP:
             return
         _SLOT_PROGRESS_QUEUE = result_queue

@@ -8,9 +8,11 @@ check that the decomposition logic is sound:
 * the master (parent process) relabels the matrix, seeds the UPGMM upper
   bound and pre-branches the BBT to ``prebranch_factor * p`` nodes;
 * the frontier is dispatched cyclically to ``p`` worker processes;
-* workers run the sequential DFS on their share, publishing improved
-  upper bounds through a shared ``multiprocessing.Value`` (the "global
-  upper bound broadcast") that every worker polls between expansions;
+* workers run the sequential DFS on their share -- in the native search
+  core (:mod:`repro.bnb.native`) when it is available -- publishing
+  improved upper bounds through a shared ``multiprocessing.Value`` (the
+  "global upper bound broadcast") that every worker polls every
+  ``poll_interval`` expansions (loop iterations in the native core);
 * the master gathers per-worker optima and returns the global best.
 
 Production hardening (vs. the original prototype):
@@ -41,6 +43,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.bnb import native
 from repro.bnb.bounds import search_context
 from repro.bnb.kernel import BranchKernel, expand_positions
 from repro.bnb.relationship import insertion_is_consistent
@@ -134,49 +137,18 @@ def _worker_main(
     pruned = 0
     try:
         topologies = [PartialTopology.from_payload(p, half) for p in payloads]
-        kernel = BranchKernel(half) if use_kernel else None
-        if kernel is not None and not kernel.supported:
-            kernel = None  # oversized matrix: scalar fallback
-        local_ub = shared_ub.value
-        best: Optional[PartialTopology] = None
-        n = len(values)
         stack = sorted(topologies, key=lambda t: -t.lower_bound)
-        while stack:
-            node = stack.pop()
-            if expanded % poll_interval == 0:
-                published = shared_ub.value
-                if published < local_ub:
-                    local_ub = published
-            if node.lower_bound > local_ub - _EPS:
-                pruned += 1
-                continue
-            expanded += 1
-            s = node.next_species
-            tail = tails[s + 1]
-            survivors, cut = expand_positions(
-                node, tail, local_ub - _EPS, kernel
+        plain = use_kernel and not check_33
+        lib = native.library_for(len(values)) if plain else None
+        if lib is not None:
+            best, expanded, pruned = _native_share(
+                lib, stack, half, tails, shared_ub, poll_interval
             )
-            pruned += cut
-            if check_33:
-                children = [
-                    child for child in survivors
-                    if insertion_is_consistent(
-                        child, values, s, check_all_pairs=enforce_all_33
-                    )
-                ]
-            else:
-                children = survivors
-            if node.num_leaves + 1 == n:
-                for child in children:
-                    if child.cost < local_ub - _EPS:
-                        local_ub = child.cost
-                        best = child
-                        with shared_ub.get_lock():
-                            if local_ub < shared_ub.value:
-                                shared_ub.value = local_ub
-            else:
-                children.sort(key=lambda c: -c.lower_bound)
-                stack.extend(children)
+        else:
+            best, expanded, pruned = _python_share(
+                stack, half, tails, values, check_33, enforce_all_33,
+                shared_ub, poll_interval, use_kernel,
+            )
 
         counters = {
             "expanded": expanded, "pruned": pruned, "trace_id": trace_id,
@@ -197,6 +169,91 @@ def _worker_main(
                 {"expanded": expanded, "pruned": pruned, "trace_id": trace_id},
             )
         )
+
+
+def _publish(shared_ub, cost: float) -> None:
+    """Lower the shared upper bound to ``cost`` if that improves it."""
+    with shared_ub.get_lock():
+        if cost < shared_ub.value:
+            shared_ub.value = cost
+
+
+def _native_share(
+    lib, stack, half, tails, shared_ub, poll_interval: int
+) -> Tuple[Optional[PartialTopology], int, int]:
+    """DFS-complete ``stack`` in the native core.
+
+    The shared upper bound is polled every ``poll_interval`` loop
+    iterations (the stride) and published after every improving
+    expansion.  Returns ``(best, expanded, pruned)``.
+    """
+    with native.NativeSearch(
+        lib, half, tails, stack, shared_ub.value,
+        keep_margin=-_EPS, eps=_EPS,
+    ) as search:
+        header = search.header
+        while True:
+            published = shared_ub.value
+            if published < header.upper_bound:
+                header.upper_bound = published
+            status = search.run(poll_interval)
+            if status == native.IMPROVED:
+                _publish(shared_ub, header.upper_bound)
+            elif status == native.EXHAUSTED:
+                break
+        # Only this worker's own improvements count as its result.
+        best = search.best() if header.ub_updates else None
+        return best, header.nodes_expanded, header.nodes_pruned
+
+
+def _python_share(
+    stack, half, tails, values, check_33: bool, enforce_all_33: bool,
+    shared_ub, poll_interval: int, use_kernel: bool,
+) -> Tuple[Optional[PartialTopology], int, int]:
+    """The reference worker loop (3-3 filter, scalar path, no C core)."""
+    kernel = BranchKernel(half) if use_kernel else None
+    if kernel is not None and not kernel.supported:
+        kernel = None  # oversized matrix: scalar fallback
+    expanded = 0
+    pruned = 0
+    local_ub = shared_ub.value
+    best: Optional[PartialTopology] = None
+    n = len(values)
+    while stack:
+        node = stack.pop()
+        if expanded % poll_interval == 0:
+            published = shared_ub.value
+            if published < local_ub:
+                local_ub = published
+        if node.lower_bound > local_ub - _EPS:
+            pruned += 1
+            continue
+        expanded += 1
+        s = node.next_species
+        tail = tails[s + 1]
+        survivors, cut = expand_positions(
+            node, tail, local_ub - _EPS, kernel
+        )
+        pruned += cut
+        if check_33:
+            children = [
+                child for child in survivors
+                if insertion_is_consistent(
+                    child, values, s, check_all_pairs=enforce_all_33
+                )
+            ]
+        else:
+            children = survivors
+        if node.num_leaves + 1 == n:
+            for child in children:
+                if child.cost < local_ub - _EPS:
+                    local_ub = child.cost
+                    best = child
+                    _publish(shared_ub, local_ub)
+        else:
+            children.sort(key=lambda c: -c.lower_bound)
+            stack.extend(children)
+    return best, expanded, pruned
 
 
 def _gather_results(
@@ -321,6 +378,9 @@ def _multiprocess_impl(
     kernel = BranchKernel(half) if use_kernel else None
     if kernel is not None and not kernel.supported:
         kernel = None  # oversized matrix: scalar fallback
+    if use_kernel and not check_33:
+        # Resolve the native core before forking, so workers inherit it.
+        native.library_for(matrix.n)
 
     seed = upgmm(ordered)
     upper_bound = seed.cost()

@@ -3,9 +3,10 @@
 Five engines can answer the same question (four exactly, one within a
 proven bracket), which makes the repository its own oracle:
 
-* the exact engines -- sequential Algorithm BBU with the batched
-  branching kernel (``bnb``) and with the scalar reference loop
-  (``bnb-scalar``), the simulated cluster (``parallel-bnb``) and the
+* the exact engines -- sequential Algorithm BBU on the native search
+  core (``bnb``; the batched NumPy kernel where the core cannot be
+  built) and with the scalar reference loop (``bnb-scalar``), the
+  simulated cluster (``parallel-bnb``) and the
   real multi-core engine (``multiprocess``) -- must agree on the
   optimal cost to 1e-9;
 * the compact-set pipeline's cost must land in ``[exact, upgmm]``: it is
@@ -32,6 +33,7 @@ from repro.verify.oracles import Oracle, Violation, run_oracles
 __all__ = [
     "EXACT_METHODS",
     "BRACKET_METHODS",
+    "SEARCH_TWINS",
     "FEASIBLE_HEURISTICS",
     "DEFAULT_DIFFERENTIAL_METHODS",
     "MethodOutcome",
@@ -40,12 +42,16 @@ __all__ = [
 ]
 
 #: Methods that must find the exact minimum ultrametric tree.
-#: ``bnb`` branches with the batched kernel and ``bnb-scalar`` with the
-#: per-child reference loop, so every differential run doubles as a
-#: kernel-vs-scalar equivalence check.
+#: ``bnb`` searches on the native core (or the batched NumPy kernel) and
+#: ``bnb-scalar`` with the per-child reference loop, so every
+#: differential run doubles as a native-vs-scalar equivalence check.
 EXACT_METHODS: Tuple[str, ...] = (
     "bnb", "bnb-scalar", "parallel-bnb", "multiprocess"
 )
+
+#: Methods that run the *same* sequential search on different branching
+#: paths, so their expansion counts must be equal, not just their costs.
+SEARCH_TWINS: Tuple[str, ...] = ("bnb", "bnb-scalar")
 
 #: Methods whose cost is proven to land in ``[exact, upgmm]``.
 BRACKET_METHODS: Tuple[str, ...] = ("compact", "compact-parallel")
@@ -76,6 +82,8 @@ class MethodOutcome:
     cost: Optional[float] = None
     violations: List[Violation] = field(default_factory=list)
     error: Optional[str] = None
+    #: Branch-and-bound expansions, for the :data:`SEARCH_TWINS`.
+    nodes_expanded: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -180,6 +188,9 @@ def run_differential(
             )
             continue
         outcome.cost = float(result.cost)
+        stats = getattr(result.details, "stats", None)
+        if method in SEARCH_TWINS and stats is not None:
+            outcome.nodes_expanded = stats.nodes_expanded
         if method != "nj":  # NJ trees are additive, not ultrametric
             outcome.violations.extend(
                 run_oracles(
@@ -224,6 +235,21 @@ def _cross_checks(outcomes: Dict[str, MethodOutcome]) -> List[Violation]:
                     )
                 )
     optimum = min(exact.values()) if exact else None
+
+    twins = {
+        m: outcomes[m].nodes_expanded
+        for m in SEARCH_TWINS
+        if m in outcomes and outcomes[m].nodes_expanded is not None
+    }
+    if len(set(twins.values())) > 1:
+        violations.append(
+            Violation(
+                "differential.search_identity",
+                "sequential branching paths searched differently: "
+                + ", ".join(f"{m} expanded {k}" for m, k in twins.items()),
+                {"nodes_expanded": twins},
+            )
+        )
 
     upper = None
     upper_method = None

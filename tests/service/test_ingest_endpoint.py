@@ -8,17 +8,14 @@ is refused with the typed 413 before any parsing; a malformed upload
 comes back as a 422 whose body carries the stage-0 rejection detail.
 """
 
-import os
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.obs import CounterEvent, read_jsonl
-from repro.service.client import ServiceClient
 from repro.service.errors import PayloadTooLarge, UnprocessableInput
+from tests.service.live import serve_subprocess
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FIXTURES = REPO_ROOT / "tests" / "data" / "fasta"
@@ -31,31 +28,10 @@ pytestmark = pytest.mark.slow
 def live_server(tmp_path):
     """A ``repro-mut serve`` subprocess; yields (process, client, trace)."""
     trace_path = tmp_path / "service_trace.jsonl"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0",
-            "--workers", "2",
-            "--trace-out", str(trace_path),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    try:
-        ready = proc.stdout.readline()
-        assert "listening on" in ready, f"server never came up: {ready!r}"
-        url = ready.strip().split()[-1]
-        yield proc, ServiceClient(url, timeout=60.0), trace_path
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait(timeout=10)
+    with serve_subprocess(
+        "--workers", "2", "--trace-out", str(trace_path),
+    ) as (proc, client):
+        yield proc, client, trace_path
 
 
 def test_live_ingest_acceptance_and_trace_ids(live_server):

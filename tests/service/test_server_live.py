@@ -20,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.bnb import native
 from repro.matrix.generators import clustered_matrix
 from repro.matrix.io import write_phylip
 from repro.obs import CounterEvent, read_jsonl
-from repro.service.client import ServiceClient
 from repro.service.errors import QueueFull
+from tests.service.live import process_running, serve_subprocess
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 N_CONCURRENT = 32
@@ -37,32 +38,12 @@ pytestmark = pytest.mark.slow
 def live_server(tmp_path):
     """A ``repro-mut serve`` subprocess; yields (process, client, trace)."""
     trace_path = tmp_path / "service_trace.jsonl"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0",
-            "--workers", "4",
-            "--queue-size", str(N_CONCURRENT * 2),
-            "--trace-out", str(trace_path),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    try:
-        ready = proc.stdout.readline()
-        assert "listening on" in ready, f"server never came up: {ready!r}"
-        url = ready.strip().split()[-1]
-        yield proc, ServiceClient(url, timeout=60.0), trace_path
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait(timeout=10)
+    with serve_subprocess(
+        "--workers", "4",
+        "--queue-size", str(N_CONCURRENT * 2),
+        "--trace-out", str(trace_path),
+    ) as (proc, client):
+        yield proc, client, trace_path
 
 
 def test_live_concurrent_load_warm_cache_and_sigterm_drain(live_server):
@@ -200,32 +181,26 @@ def live_process_server(tmp_path):
     """A ``repro-mut serve --backend process`` subprocess (worker
     processes, so job progress crosses a process boundary)."""
     trace_path = tmp_path / "service_trace.jsonl"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0",
-            "--workers", "2",
-            "--backend", "process",
-            "--trace-out", str(trace_path),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=True,
-    )
-    try:
-        ready = proc.stdout.readline()
-        assert "listening on" in ready, f"server never came up: {ready!r}"
-        url = ready.strip().split()[-1]
-        yield proc, ServiceClient(url, timeout=60.0), trace_path
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait(timeout=10)
+    with serve_subprocess(
+        "--workers", "2",
+        "--backend", "process",
+        "--trace-out", str(trace_path),
+    ) as (proc, client):
+        yield proc, client, trace_path
+
+
+def test_sigkilled_server_leaves_no_worker_processes(live_process_server):
+    """Worker processes notice their server is gone and exit, even when
+    the server dies by SIGKILL and never asks them to stop."""
+    proc, client, _ = live_process_server
+    pids = [int(pid) for pid in client.stats()["worker_pids"].values()]
+    assert pids and all(process_running(pid) for pid in pids)
+    proc.send_signal(signal.SIGKILL)
+    proc.wait(timeout=10)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and any(map(process_running, pids)):
+        time.sleep(0.1)
+    assert not [pid for pid in pids if process_running(pid)]
 
 
 def test_live_job_progress_stream_and_watch(live_process_server):
@@ -234,11 +209,14 @@ def test_live_job_progress_stream_and_watch(live_process_server):
     them, and the heartbeats land in the streamed schema-v1 trace."""
     proc, client, trace_path = live_process_server
     matrix = clustered_matrix([13, 13], seed=5)
+    # About a second of search on either branching backend, so the
+    # stream has time to publish more than the closing snapshot.
+    node_limit = 2_000_000 if native.library() is not None else 30_000
 
     record = client.solve(
         matrix,
         method="bnb",
-        options={"node_limit": 30000},
+        options={"node_limit": node_limit},
         wait=False,
         trace_id="progress-live",
     )

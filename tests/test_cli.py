@@ -386,11 +386,14 @@ class TestBootstrapCommand:
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):
         from repro import __version__
+        from repro.bnb import native
 
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert f"repro-mut {__version__}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"repro-mut {__version__}" in out
+        assert f"branching: {native.backend()}" in out
 
 
 class TestProfileFromTrace:

@@ -19,6 +19,7 @@ from repro.verify.differential import (
     BRACKET_METHODS,
     DEFAULT_DIFFERENTIAL_METHODS,
     EXACT_METHODS,
+    SEARCH_TWINS,
     DifferentialReport,
     MethodOutcome,
     run_differential,
@@ -124,6 +125,24 @@ class TestMutationDetection:
         # Both the cross-check and the per-tree cost oracle fire.
         assert "differential.exact_agreement" in oracles
         assert "cost" in oracles
+
+    def test_search_divergence_between_twins_caught(self):
+        matrix = random_metric_matrix(7, seed=4)
+
+        def build(m, method, **kwargs):
+            result = construct_tree(m, method, **kwargs)
+            if method == "bnb-scalar":
+                result.details.stats.nodes_expanded += 1
+            return result
+
+        clean = run_differential(matrix, SEARCH_TWINS)
+        assert clean.ok
+        twins = {m: clean.outcomes[m].nodes_expanded for m in SEARCH_TWINS}
+        assert len(set(twins.values())) == 1 and None not in twins.values()
+        report = run_differential(matrix, SEARCH_TWINS, build_fn=build)
+        assert [v.oracle for v in report.violations] == [
+            "differential.search_identity"
+        ]
 
     def test_crashing_engine_isolated(self):
         matrix = random_metric_matrix(5, seed=5)
