@@ -57,12 +57,14 @@ engine versions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro.bnb import native
 from repro.bnb.sequential import BranchAndBoundSolver
@@ -90,23 +92,17 @@ COUNTERS = (
 )
 
 
-class _KernelLoopSolver(BranchAndBoundSolver):
-    """The solver with the native core hidden: the NumPy-kernel loop."""
-
-    def _native_library(self, n):
-        return None
-
-
 def _timed_solve(matrix, path, *, node_limit):
-    if path == "kernel":
-        solver = _KernelLoopSolver(node_limit=node_limit)
-    else:
-        solver = BranchAndBoundSolver(
-            use_kernel=path != "scalar", node_limit=node_limit
-        )
-    t0 = time.perf_counter()
-    result = solver.solve(matrix)
-    return time.perf_counter() - t0, result
+    solver = BranchAndBoundSolver(
+        use_kernel=path != "scalar", node_limit=node_limit
+    )
+    # The kernel path is the solver with the native core hidden, as when
+    # it cannot be built.
+    hidden = mock.patch.object(native, "library_for", lambda n: None)
+    with hidden if path == "kernel" else contextlib.nullcontext():
+        t0 = time.perf_counter()
+        result = solver.solve(matrix)
+        return time.perf_counter() - t0, result
 
 
 def _matrix(name, groups, seed, digest):

@@ -4,9 +4,10 @@
 prune, the kernel's ``g`` tables and upward walk, the
 ``child_via_tables`` graft, the best-first child order, the incumbent
 update and the ``SearchStats`` counters -- over a C-owned node stack.
-:class:`NativeSearch` drives it from Python in strides; the solvers keep
-every policy decision (progress ticks, node limits, shared upper
-bounds, ``on_incumbent``) between strides.
+:class:`NativeSearch` is driven from Python in strides by
+:meth:`repro.bnb.sequential.SearchCore.depth_first`, which keeps every
+policy decision (progress ticks, node limits, shared upper bounds,
+``on_incumbent``) between strides.
 
 The library is compiled at most once per source version with the system
 C compiler (``$CC``, else ``cc``) into a per-user cache directory and
@@ -306,6 +307,19 @@ class NativeSearch:
             self._lib.bnb_free(self._ptr)
             self._ptr = None
             self.header = None
+
+    @property
+    def stats(self) -> _Header:
+        """The live counters, named like ``SearchStats``'s."""
+        return self.header
+
+    @property
+    def upper_bound(self) -> float:
+        return self.header.upper_bound
+
+    @upper_bound.setter
+    def upper_bound(self, value: float) -> None:
+        self.header.upper_bound = value
 
     # ------------------------------------------------------------------
     def run(self, max_iterations: int, expansion_limit: Optional[int] = None) -> int:

@@ -12,12 +12,19 @@ Tang (1999):
 
 The optional 3-3 relationship constraint (Step 4 of the parallel paper)
 filters children as they are generated.
+
+Every exact engine runs on this module's :class:`SearchCore`: the
+set-up above, one expansion step, and the frontier drivers over it
+(depth-first, the masters' heap pre-branch; the simulator's pools call
+the step directly).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.bnb import native
 from repro.bnb.bounds import LOWER_BOUNDS, search_context
@@ -31,22 +38,23 @@ from repro.obs.progress import ProgressTracker, current_progress
 from repro.obs.recorder import NullRecorder, as_recorder
 from repro.tree.ultrametric import UltrametricTree
 
-__all__ = ["SearchStats", "BBUResult", "BranchAndBoundSolver", "exact_mut"]
+__all__ = [
+    "SearchStats", "BBUResult", "Incumbent", "SearchCore",
+    "BranchAndBoundSolver", "exact_mut",
+]
 
+#: Cost tolerance of every incumbent comparison and of the default
+#: prune margin (``LB > UB - _EPS`` is pruned).
 _EPS = 1e-9
 
-#: How many loop iterations the solver lets pass between
-#: ``ProgressTracker.tick`` calls when no incumbent change forces one.
-#: The tracker's own time gate is authoritative; this stride only
-#: bounds how often the hot loop pays the Python call (at the solver's
-#: typical tens of thousands of nodes per second, 64 still checks the
-#: clock hundreds of times a second, far finer than any sane
-#: ``interval_seconds``).
-_PROGRESS_TICK_STRIDE = 64
+#: Loop iterations (pops) per stride when a between-stride hook must run
+#: often: progress ticks (whose own time gate is authoritative) and the
+#: multiprocess workers' poll of the shared upper bound.
+_STRIDE = 64
 
-#: Loop iterations per native run when no tracker needs ticks: about
-#: 10 ms of search between two points where Python may step in.
-_NATIVE_STRIDE = 16384
+#: Loop iterations per stride when no hook needs to run often: about
+#: 10 ms of native search between two points where Python may step in.
+_QUIET_STRIDE = 16384
 
 
 @dataclass
@@ -99,6 +107,319 @@ class BBUResult:
     topology: Optional[PartialTopology] = None
 
 
+class Incumbent:
+    """An upper bound, the topology that set it, and the counters of the
+    search that lowers it.
+
+    :meth:`SearchCore.step` offers it every complete tree it builds; the
+    masters also offer it the workers' results.
+    """
+
+    __slots__ = ("upper_bound", "topology", "stats")
+
+    def __init__(
+        self, upper_bound: float, stats: Optional[SearchStats] = None
+    ) -> None:
+        self.upper_bound = upper_bound
+        self.topology: Optional[PartialTopology] = None
+        self.stats = SearchStats() if stats is None else stats
+
+    def offer(self, child: PartialTopology) -> bool:
+        """Take ``child`` if it beats the bound by more than ``_EPS``."""
+        if child.cost < self.upper_bound - _EPS:
+            self.upper_bound = child.cost
+            self.topology = child
+            self.stats.ub_updates += 1
+            return True
+        return False
+
+
+class SearchCore:
+    """One solve's search: the set-up done once, and the BBU step.
+
+    The set-up relabels the species (max-min unless ``use_maxmin`` is
+    off), reads the cached half matrix and tail bounds, runs UPGMM for
+    the seed upper bound and builds the root.  A two-species matrix has
+    nothing to search: its ``seed`` is the exact tree.  ``use_kernel``
+    selects the NumPy kernel (built on first use) and allows the native
+    core; the 3-3 options add the filter to every step.
+    """
+
+    def __init__(
+        self,
+        matrix: DistanceMatrix,
+        lower_bound: str = "minfront",
+        *,
+        use_maxmin: bool = True,
+        relationship_33: bool = False,
+        enforce_all_33: bool = False,
+        use_kernel: bool = True,
+    ) -> None:
+        ordered = apply_maxmin(matrix)[0] if use_maxmin else matrix
+        self.n = ordered.n
+        self.labels = ordered.labels
+        self.values = [list(map(float, row)) for row in ordered.values]
+        self.check_33 = relationship_33 or enforce_all_33
+        self.enforce_all_33 = enforce_all_33
+        self.use_kernel = use_kernel
+        if self.n == 2:
+            self.seed = UltrametricTree.join(
+                UltrametricTree.leaf(self.labels[0]),
+                UltrametricTree.leaf(self.labels[1]),
+                self.values[0][1] / 2.0,
+            )
+            self.seed_cost = self.seed.cost()
+            return
+        # Cached per matrix identity: solving the same (relabelled)
+        # matrix again -- pipeline subproblems, fallbacks, repeated
+        # benchmark solves -- reuses the half-matrix and tail bounds.
+        self.half, self.tails = search_context(ordered, lower_bound)
+        self.seed = upgmm(ordered)
+        self.seed_cost = self.seed.cost()
+        self.root = PartialTopology.initial(self.half)
+        self.root.lower_bound = self.root.cost + self.tails[2]
+
+    @cached_property
+    def kernel(self) -> Optional[BranchKernel]:
+        """The batched kernel, or ``None`` for the scalar path."""
+        if not self.use_kernel:
+            return None
+        kernel = BranchKernel(self.half)
+        return kernel if kernel.supported else None  # oversized: scalar
+
+    def native_library(self):
+        """The native core if it can run this search, else ``None``.
+
+        It runs the plain search only: the kernel's branching, no 3-3
+        filter, the kernel's species range and a loadable library.
+        """
+        if not self.use_kernel or self.check_33:
+            return None
+        return native.library_for(self.n)
+
+    # ------------------------------------------------------------------
+    def step(
+        self,
+        node: PartialTopology,
+        incumbent: Incumbent,
+        margin: float = -_EPS,
+    ) -> Optional[List[PartialTopology]]:
+        """One BBU step on ``node`` against ``incumbent``'s bound.
+
+        Returns ``None`` when ``LB > UB + margin`` prunes ``node``.
+        Otherwise ``node`` is expanded: children cut by the same bound
+        are counted as pruned, the 3-3 filter counts its rejections in
+        ``nodes_filtered_33``, and the survivors are returned in
+        position order -- except complete trees, which are offered to
+        ``incumbent`` instead (so the list is then empty).
+        """
+        stats = incumbent.stats
+        threshold = incumbent.upper_bound + margin
+        if node.lower_bound > threshold:
+            stats.nodes_pruned += 1
+            return None
+        stats.nodes_expanded += 1
+        s = node.next_species
+        stats.nodes_created += node.num_positions()
+        children, cut = expand_positions(
+            node, self.tails[s + 1], threshold, self.kernel
+        )
+        stats.nodes_pruned += cut
+        if self.check_33:
+            kept = [
+                child for child in children
+                if insertion_is_consistent(
+                    child, self.values, s, check_all_pairs=self.enforce_all_33
+                )
+            ]
+            stats.nodes_filtered_33 += len(children) - len(kept)
+            children = kept
+        if s + 1 < self.n:
+            return children
+        for child in children:
+            incumbent.offer(child)
+        return []
+
+    # ------------------------------------------------------------------
+    def depth_first(
+        self,
+        nodes: Sequence[PartialTopology],
+        upper_bound: float,
+        stats: SearchStats,
+        *,
+        between: Callable[[object], bool],
+        improved: Optional[Callable[[object], None]] = None,
+        margin: float = -_EPS,
+        stride: int = _STRIDE,
+        limit: Optional[int] = None,
+        optima: Optional[List[PartialTopology]] = None,
+    ) -> object:
+        """Search below ``nodes`` (the last one first); return the search.
+
+        The native core runs it when it can (:meth:`native_library`, no
+        ``optima`` to gather, a node the starting bound keeps), else
+        :class:`_StackSearch`, which decides identically.  Before every
+        stride of ``stride`` pops ``between(search)`` runs (``False``
+        stops the search), and after an improving stride
+        ``improved(search)``.  ``limit`` caps ``nodes_expanded``;
+        ``stats`` receives the counters.  The returned search gives
+        ``upper_bound``, ``best()`` and the open nodes (``len``,
+        ``min_lower_bound()``); use it in a ``with`` block, whose exit
+        frees the native core's memory.
+        """
+        lib = None if optima is not None else self.native_library()
+        if lib is not None and any(
+            node.lower_bound <= upper_bound + margin for node in nodes
+        ):
+            search = native.NativeSearch(
+                lib, self.half, self.tails, nodes, upper_bound,
+                keep_margin=margin, eps=_EPS,
+            )
+        else:
+            search = _StackSearch(
+                self, nodes, upper_bound, margin, stats, optima
+            )
+        try:
+            while len(search) and between(search):
+                status = search.run(stride, limit)
+                if status == native.IMPROVED and improved is not None:
+                    improved(search)
+        except BaseException:
+            search.close()
+            raise
+        header = search.stats
+        if header is not stats:  # the native core's C header
+            for name in (
+                "nodes_created", "nodes_expanded", "nodes_pruned",
+                "ub_updates", "max_open_size",
+            ):
+                setattr(stats, name, getattr(header, name))
+        return search
+
+    def prebranch(
+        self,
+        target: int,
+        charge: Optional[Callable[[PartialTopology, bool], None]] = None,
+    ) -> Tuple[List[PartialTopology], Incumbent]:
+        """The masters' pre-branch: best lower bound first until
+        ``target`` nodes are open (the papers' Steps 1-5).
+
+        A heap keyed by lower bound; ties pop the most recently created
+        child first.  Returns the open nodes sorted by lower bound and
+        the incumbent, whose stats count the master's work.
+        ``charge(node, expanded)`` sees every popped node (the
+        simulator's clock).
+        """
+        incumbent = Incumbent(self.seed_cost)
+        queue: List[Tuple[float, int, PartialTopology]] = [
+            (self.root.lower_bound, 0, self.root)
+        ]
+        pushed = 0
+        while queue and len(queue) < target:
+            node = heapq.heappop(queue)[2]
+            children = self.step(node, incumbent)
+            if charge is not None:
+                charge(node, children is not None)
+            for child in children or ():
+                pushed -= 1
+                heapq.heappush(queue, (child.lower_bound, pushed, child))
+        frontier = sorted(
+            (entry[2] for entry in queue), key=lambda t: t.lower_bound
+        )
+        return frontier, incumbent
+
+
+class _StackSearch(Incumbent):
+    """The depth-first search as a Python stack.
+
+    It has :class:`native.NativeSearch`'s interface and makes its
+    decisions: the same pops, prunes and child order, a run that returns
+    right after an improving expansion, the incumbent log, and the
+    "seed matched" record (the first complete tree that ties the
+    starting bound becomes ``best()``).  It also runs what the C core
+    does not: the 3-3 filter, the scalar reference path, and gathering
+    every optimal tree into ``optima`` (the solver then passes a
+    ``+_EPS`` margin, so ties survive the bound cut).
+    """
+
+    __slots__ = ("core", "open", "margin", "optima", "improvements")
+
+    def __init__(
+        self,
+        core: SearchCore,
+        nodes: Sequence[PartialTopology],
+        upper_bound: float,
+        margin: float,
+        stats: SearchStats,
+        optima: Optional[List[PartialTopology]],
+    ) -> None:
+        super().__init__(upper_bound, stats)
+        self.core = core
+        self.open = list(nodes)
+        self.margin = margin
+        self.optima = optima
+        self.improvements: List[PartialTopology] = []
+        stats.nodes_created += len(self.open)
+
+    def __enter__(self) -> "_StackSearch":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Nothing to free; the native search frees its C memory here."""
+
+    def __len__(self) -> int:
+        return len(self.open)
+
+    def min_lower_bound(self) -> float:
+        return min(node.lower_bound for node in self.open)
+
+    def best(self) -> Optional[PartialTopology]:
+        return self.topology
+
+    def incumbents(self) -> List[PartialTopology]:
+        return self.improvements
+
+    def offer(self, child: PartialTopology) -> bool:
+        cost = child.cost
+        improved = super().offer(child)
+        optima = self.optima
+        if improved:
+            self.improvements.append(child)
+            if optima is not None:
+                optima[:] = [t for t in optima if t.cost <= cost + _EPS]
+        if cost <= self.upper_bound + _EPS:
+            if optima is not None:
+                optima.append(child)
+            if self.topology is None or (
+                optima is not None and cost < self.topology.cost - _EPS
+            ):
+                self.topology = child
+        return improved
+
+    def run(self, max_iterations: int, expansion_limit: Optional[int] = None) -> int:
+        """Pop up to ``max_iterations`` nodes (``NativeSearch.run``)."""
+        stats = self.stats
+        stack = self.open
+        self.improvements = []
+        for _ in range(max_iterations):
+            if not stack:
+                return native.EXHAUSTED
+            if expansion_limit is not None and stats.nodes_expanded >= expansion_limit:
+                return native.LIMIT
+            children = self.core.step(stack.pop(), self, self.margin)
+            if children:
+                children.sort(key=lambda c: -c.lower_bound)
+                stack.extend(children)
+                if len(stack) > stats.max_open_size:
+                    stats.max_open_size = len(stack)
+            elif self.improvements:
+                return native.IMPROVED
+        return native.STRIDE
+
+
 class BranchAndBoundSolver:
     """Configurable Algorithm-BBU solver.
 
@@ -144,12 +465,12 @@ class BranchAndBoundSolver:
         completion -- the counters aggregate the run's ``SearchStats``
         once at the end, so the per-node hot loop is untouched.
     progress:
-        Optional :class:`repro.obs.progress.ProgressTracker` driven from
-        the inner loop (throttled incumbent/bound/gap snapshots).  When
-        ``None`` the ambient :func:`repro.obs.progress.current_progress`
-        tracker is used if one is bound; with neither, the hot loop pays
-        a single ``is not None`` check per iteration and allocates
-        nothing.
+        Optional :class:`repro.obs.progress.ProgressTracker` ticked
+        between strides of the search (throttled incumbent/bound/gap
+        snapshots).  When ``None`` the ambient
+        :func:`repro.obs.progress.current_progress` tracker is used if
+        one is bound; with neither, the search runs in long strides and
+        the hot loop pays nothing for progress.
     """
 
     def __init__(
@@ -229,69 +550,71 @@ class BranchAndBoundSolver:
         tracker = self.progress
         if tracker is None:
             tracker = current_progress()
-        n = matrix.n
-        if n == 1:
+        if matrix.n == 1:
             tree = UltrametricTree.leaf(matrix.labels[0])
             stats.best_cost = 0.0
             if tracker is not None:
                 tracker.final(0.0, stats)
             return BBUResult(tree, 0.0, stats)
 
-        if self.use_maxmin:
-            ordered, _ = apply_maxmin(matrix)
-        else:
-            ordered = matrix
-        labels = ordered.labels
-        values = [list(map(float, row)) for row in ordered.values]
-
-        if n == 2:
-            tree = UltrametricTree.join(
-                UltrametricTree.leaf(labels[0]),
-                UltrametricTree.leaf(labels[1]),
-                values[0][1] / 2.0,
-            )
-            cost = tree.cost()
-            stats.best_cost = cost
+        core = SearchCore(
+            matrix,
+            self.lower_bound,
+            use_maxmin=self.use_maxmin,
+            relationship_33=self.relationship_33,
+            enforce_all_33=self.enforce_all_33,
+            use_kernel=self.use_kernel,
+        )
+        if core.n == 2:
+            stats.best_cost = core.seed_cost
             stats.elapsed_seconds = rec.clock() - start
             if tracker is not None:
-                tracker.final(cost, stats)
-            return BBUResult(tree, cost, stats)
+                tracker.final(core.seed_cost, stats)
+            return BBUResult(core.seed, core.seed_cost, stats)
 
-        # Cached per matrix identity: solving the same (relabelled) matrix
-        # again -- pipeline subproblems, fallbacks, repeated benchmark
-        # solves -- reuses the half-matrix and tail bounds.
-        half, tails = search_context(ordered, self.lower_bound)
-
-        seed = upgmm(ordered)
-        upper_bound = seed.cost()
-        stats.initial_upper_bound = upper_bound
+        stats.initial_upper_bound = core.seed_cost
         if self.on_incumbent is not None:
-            self.on_incumbent(upper_bound, seed)
+            self.on_incumbent(core.seed_cost, core.seed)
+        labels = core.labels
 
-        root = PartialTopology.initial(half)
-        root.lower_bound = root.cost + tails[2]
-        keep_margin = _EPS if self.collect_all else -_EPS
+        def between(search) -> bool:
+            if (
+                self.node_limit is not None
+                and search.stats.nodes_expanded >= self.node_limit
+            ):
+                stats.node_limit_hit = True
+                return False
+            if tracker is not None:
+                tracker.tick(search.upper_bound, search.stats, search)
+            return True
+
+        def improved(search) -> None:
+            if self.on_incumbent is not None:
+                for child in search.incumbents():
+                    self.on_incumbent(child.cost, child.to_tree(labels))
+
         if tracker is not None:
             tracker.start()
-        best_complete: List[PartialTopology] = []
-        lib = self._native_library(n)
-        # When the seed already prunes the root there is nothing to
-        # search (most compact-pipeline subproblems): the Python loop
-        # settles that without paying the native set-up.
-        if lib is not None and root.lower_bound <= upper_bound + keep_margin:
-            with native.NativeSearch(
-                lib, half, tails, [root], upper_bound,
-                keep_margin=keep_margin, eps=_EPS,
-            ) as search:
-                upper_bound = self._search_native(
-                    search, stats, tracker, labels
-                )
-                best = search.best()
-        else:
-            best, upper_bound = self._search_python(
-                root, half, tails, values, upper_bound, keep_margin,
-                stats, tracker, labels, best_complete,
-            )
+        optima: Optional[List[PartialTopology]] = (
+            [] if self.collect_all else None
+        )
+        with core.depth_first(
+            [core.root],
+            core.seed_cost,
+            stats,
+            between=between,
+            improved=improved,
+            margin=_EPS if self.collect_all else -_EPS,
+            stride=_QUIET_STRIDE if tracker is None else _STRIDE,
+            limit=self.node_limit,
+            optima=optima,
+        ) as search:
+            upper_bound = search.upper_bound
+            best = search.best()
+            if tracker is not None:
+                # On a node-limit stop nodes are still open, so the
+                # closing snapshot reports the honest residual gap.
+                tracker.final(upper_bound, stats, search)
 
         stats.best_cost = upper_bound if best is not None else stats.initial_upper_bound
         stats.elapsed_seconds = rec.clock() - start
@@ -299,7 +622,7 @@ class BranchAndBoundSolver:
         if best is None:
             # The UPGMM seed was never beaten (it is optimal or the node
             # limit stopped us first); return it.
-            tree = seed
+            tree = core.seed
             cost = upper_bound
         else:
             tree = best.to_tree(labels)
@@ -311,177 +634,14 @@ class BranchAndBoundSolver:
             optimal=not stats.node_limit_hit,
             topology=best,
         )
-        if self.collect_all:
-            unique = {}
-            for topo in best_complete:
-                if topo.cost <= cost + _EPS:
-                    unique[topo.signature()] = topo
+        if optima is not None:
+            unique = {
+                t.signature(): t for t in optima if t.cost <= cost + _EPS
+            }
             result.all_trees = [t.to_tree(labels) for t in unique.values()]
             if not result.all_trees and best is not None:
                 result.all_trees = [tree]
         return result
-
-    # ------------------------------------------------------------------
-    def _native_library(self, n: int):
-        """The native core when this solve can use it, else ``None``.
-
-        It runs the plain search only: the NumPy kernel's species range,
-        no 3-3 filter and no ``collect_all``.  Everything else (and a
-        failed build) takes :meth:`_search_python`, which decides
-        identically.
-        """
-        if (
-            not self.use_kernel
-            or self.collect_all
-            or self.relationship_33
-            or self.enforce_all_33
-        ):
-            return None
-        return native.library_for(n)
-
-    def _search_native(
-        self,
-        search: native.NativeSearch,
-        stats: SearchStats,
-        tracker: Optional[ProgressTracker],
-        labels: List[str],
-    ) -> float:
-        """Drive the C search in strides; returns the final upper bound.
-
-        The stride counts loop iterations (pops), so with a tracker the
-        ticks land exactly where :meth:`_search_python`'s countdown puts
-        them: every ``_PROGRESS_TICK_STRIDE`` iterations, and right after
-        an incumbent improvement (the C run returns after that
-        expansion).  Node limits, ticks and ``on_incumbent`` are all
-        decided here, between strides.
-        """
-        header = search.header
-        stride = _NATIVE_STRIDE if tracker is None else _PROGRESS_TICK_STRIDE
-        while header.open_size:
-            if (
-                self.node_limit is not None
-                and header.nodes_expanded >= self.node_limit
-            ):
-                stats.node_limit_hit = True
-                break
-            if tracker is not None:
-                # The C header carries nodes_expanded / nodes_created,
-                # which is all a tick reads (and only when it reports).
-                tracker.tick(header.upper_bound, header, search)
-            status = search.run(stride, self.node_limit)
-            if status == native.IMPROVED and self.on_incumbent is not None:
-                for child in search.incumbents():
-                    self.on_incumbent(child.cost, child.to_tree(labels))
-        for counter in (
-            "nodes_created", "nodes_expanded", "nodes_pruned", "ub_updates",
-            "max_open_size",
-        ):
-            setattr(stats, counter, getattr(header, counter))
-        upper_bound = header.upper_bound
-        if tracker is not None:
-            # On a node-limit break the stack is non-empty, so the
-            # closing snapshot reports the honest residual gap.
-            tracker.final(upper_bound, stats, search)
-        return upper_bound
-
-    def _search_python(
-        self,
-        root: PartialTopology,
-        half: List[List[float]],
-        tails: List[float],
-        values: List[List[float]],
-        upper_bound: float,
-        keep_margin: float,
-        stats: SearchStats,
-        tracker: Optional[ProgressTracker],
-        labels: List[str],
-        best_complete: List[PartialTopology],
-    ) -> Tuple[Optional[PartialTopology], float]:
-        """The reference DFS loop: every option, NumPy kernel or scalar.
-
-        Returns ``(best, upper_bound)``; with ``collect_all`` the optimal
-        complete topologies are appended to ``best_complete``.
-        """
-        n = len(half)
-        best: Optional[PartialTopology] = None
-        open_nodes: List[PartialTopology] = [root]
-        stats.nodes_created = 1
-        check_33 = self.relationship_33 or self.enforce_all_33
-        kernel = BranchKernel(half) if self.use_kernel else None
-        if kernel is not None and not kernel.supported:
-            kernel = None  # oversized matrix: scalar fallback
-        progress_countdown = 0
-        progress_last_ub = upper_bound
-
-        while open_nodes:
-            if self.node_limit is not None and stats.nodes_expanded >= self.node_limit:
-                stats.node_limit_hit = True
-                break
-            if tracker is not None:
-                # Strided: pay the tick() call only every
-                # _PROGRESS_TICK_STRIDE iterations -- or at once when
-                # the incumbent moved, so min_delta gating stays prompt.
-                progress_countdown -= 1
-                if progress_countdown <= 0 or upper_bound != progress_last_ub:
-                    tracker.tick(upper_bound, stats, open_nodes)
-                    progress_countdown = _PROGRESS_TICK_STRIDE
-                    progress_last_ub = upper_bound
-            node = open_nodes.pop()
-            if node.lower_bound > upper_bound + keep_margin:
-                stats.nodes_pruned += 1
-                continue
-            stats.nodes_expanded += 1
-            s = node.next_species
-            tail = tails[s + 1]
-            stats.nodes_created += node.num_positions()
-            survivors, pruned = expand_positions(
-                node, tail, upper_bound + keep_margin, kernel
-            )
-            stats.nodes_pruned += pruned
-            if check_33:
-                children: List[PartialTopology] = []
-                for child in survivors:
-                    if not insertion_is_consistent(
-                        child, values, s, check_all_pairs=self.enforce_all_33
-                    ):
-                        stats.nodes_filtered_33 += 1
-                        continue
-                    children.append(child)
-            else:
-                children = survivors
-            if node.num_leaves + 1 == n:
-                for child in children:
-                    cost = child.cost
-                    if cost < upper_bound - _EPS:
-                        upper_bound = cost
-                        best = child
-                        stats.ub_updates += 1
-                        if self.on_incumbent is not None:
-                            self.on_incumbent(cost, child.to_tree(labels))
-                        if self.collect_all:
-                            best_complete = [
-                                t for t in best_complete
-                                if t.cost <= upper_bound + _EPS
-                            ]
-                    if self.collect_all and cost <= upper_bound + _EPS:
-                        best_complete.append(child)
-                        if best is None or cost < best.cost - _EPS:
-                            best = child
-                    elif best is None and cost <= upper_bound + _EPS:
-                        # UPGMM tree matched by search; remember topology.
-                        best = child
-            else:
-                # Depth-first, cheapest lower bound expanded first.
-                children.sort(key=lambda c: -c.lower_bound)
-                open_nodes.extend(children)
-                if len(open_nodes) > stats.max_open_size:
-                    stats.max_open_size = len(open_nodes)
-
-        if tracker is not None:
-            # On a node-limit break ``open_nodes`` is non-empty, so the
-            # closing snapshot reports the honest residual gap.
-            tracker.final(upper_bound, stats, open_nodes)
-        return best, upper_bound
 
 
 def exact_mut(matrix: DistanceMatrix, **solver_options) -> BBUResult:

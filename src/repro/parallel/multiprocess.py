@@ -6,13 +6,15 @@ local cores with :mod:`multiprocessing`, serving as an end-to-end sanity
 check that the decomposition logic is sound:
 
 * the master (parent process) relabels the matrix, seeds the UPGMM upper
-  bound and pre-branches the BBT to ``prebranch_factor * p`` nodes;
+  bound and pre-branches the BBT to ``2 * p`` nodes
+  (:meth:`~repro.bnb.sequential.SearchCore.prebranch`);
 * the frontier is dispatched cyclically to ``p`` worker processes;
-* workers run the sequential DFS on their share -- in the native search
-  core (:mod:`repro.bnb.native`) when it is available -- publishing
-  improved upper bounds through a shared ``multiprocessing.Value`` (the
-  "global upper bound broadcast") that every worker polls every
-  ``poll_interval`` expansions (loop iterations in the native core);
+* workers run the sequential solver's depth-first driver
+  (:meth:`~repro.bnb.sequential.SearchCore.depth_first`, on the native
+  search core when it can run) on their share, publishing improved
+  upper bounds through a shared ``multiprocessing.Value`` (the "global
+  upper bound broadcast") that every worker polls between strides of
+  64 loop iterations;
 * the master gathers per-worker optima and returns the global best.
 
 Production hardening (vs. the original prototype):
@@ -37,21 +39,19 @@ Production hardening (vs. the original prototype):
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.bnb import native
-from repro.bnb.bounds import search_context
-from repro.bnb.kernel import BranchKernel, expand_positions
-from repro.bnb.relationship import insertion_is_consistent
+from repro.bnb.sequential import (
+    BranchAndBoundSolver,
+    Incumbent,
+    SearchCore,
+    SearchStats,
+)
 from repro.bnb.topology import PartialTopology
-from repro.bnb.sequential import BranchAndBoundSolver, SearchStats
-from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.matrix.maxmin import apply_maxmin
 from repro.obs.progress import current_progress
 from repro.parallel.executor import gather_one_per_worker
 from repro.obs.recorder import (
@@ -64,7 +64,9 @@ from repro.tree.ultrametric import UltrametricTree
 
 __all__ = ["MultiprocessResult", "multiprocess_mut", "select_start_method"]
 
-_EPS = 1e-9
+#: The master pre-branches to this many open nodes per worker (the
+#: papers use 2).
+_PREBRANCH_FACTOR = 2
 #: Seconds between liveness checks while the master waits for results.
 _POLL_TIMEOUT = 0.25
 #: Consecutive empty polls tolerated after every pending worker exited
@@ -110,17 +112,11 @@ class MultiprocessResult:
 
 def _worker_main(
     worker_id: int,
+    core: SearchCore,
     payloads: List[tuple],
-    half: List[List[float]],
-    tails: List[float],
-    values: List[List[float]],
-    check_33: bool,
-    enforce_all_33: bool,
     shared_ub,
     result_queue,
-    poll_interval: int,
     trace_id: Optional[str] = None,
-    use_kernel: bool = True,
 ) -> None:
     """DFS-complete a share of the frontier (runs in a child process).
 
@@ -132,128 +128,44 @@ def _worker_main(
     echoes it back inside ``counters`` so the master stamps each
     ``mp.worker`` span with an id that genuinely crossed the process
     boundary (not one re-read from master-side state).
+
+    Between strides the worker lowers its bound to the shared one, and
+    publishes its own improvements as soon as a stride makes one.
     """
-    expanded = 0
-    pruned = 0
+    stats = SearchStats()
+
+    def poll(search) -> bool:
+        published = shared_ub.value
+        if published < search.upper_bound:
+            search.upper_bound = published
+        return True
+
+    def publish(search) -> None:
+        with shared_ub.get_lock():
+            if search.upper_bound < shared_ub.value:
+                shared_ub.value = search.upper_bound
+
     try:
-        topologies = [PartialTopology.from_payload(p, half) for p in payloads]
-        stack = sorted(topologies, key=lambda t: -t.lower_bound)
-        plain = use_kernel and not check_33
-        lib = native.library_for(len(values)) if plain else None
-        if lib is not None:
-            best, expanded, pruned = _native_share(
-                lib, stack, half, tails, shared_ub, poll_interval
-            )
-        else:
-            best, expanded, pruned = _python_share(
-                stack, half, tails, values, check_33, enforce_all_33,
-                shared_ub, poll_interval, use_kernel,
-            )
-
-        counters = {
-            "expanded": expanded, "pruned": pruned, "trace_id": trace_id,
-        }
-        if best is None:
-            result_queue.put(("result", worker_id, None, None, counters))
-        else:
-            result_queue.put(
-                ("result", worker_id, best.cost, best.to_payload(), counters)
-            )
+        nodes = sorted(
+            (PartialTopology.from_payload(p, core.half) for p in payloads),
+            key=lambda t: -t.lower_bound,
+        )
+        with core.depth_first(
+            nodes, shared_ub.value, stats, between=poll, improved=publish
+        ) as search:
+            # Only this worker's own improvements count as its result.
+            best = search.best() if stats.ub_updates else None
+        message = ("result", worker_id) + (
+            (None, None) if best is None else (best.cost, best.to_payload())
+        )
     except Exception:
-        result_queue.put(
-            (
-                "error",
-                worker_id,
-                traceback.format_exc(),
-                None,
-                {"expanded": expanded, "pruned": pruned, "trace_id": trace_id},
-            )
-        )
-
-
-def _publish(shared_ub, cost: float) -> None:
-    """Lower the shared upper bound to ``cost`` if that improves it."""
-    with shared_ub.get_lock():
-        if cost < shared_ub.value:
-            shared_ub.value = cost
-
-
-def _native_share(
-    lib, stack, half, tails, shared_ub, poll_interval: int
-) -> Tuple[Optional[PartialTopology], int, int]:
-    """DFS-complete ``stack`` in the native core.
-
-    The shared upper bound is polled every ``poll_interval`` loop
-    iterations (the stride) and published after every improving
-    expansion.  Returns ``(best, expanded, pruned)``.
-    """
-    with native.NativeSearch(
-        lib, half, tails, stack, shared_ub.value,
-        keep_margin=-_EPS, eps=_EPS,
-    ) as search:
-        header = search.header
-        while True:
-            published = shared_ub.value
-            if published < header.upper_bound:
-                header.upper_bound = published
-            status = search.run(poll_interval)
-            if status == native.IMPROVED:
-                _publish(shared_ub, header.upper_bound)
-            elif status == native.EXHAUSTED:
-                break
-        # Only this worker's own improvements count as its result.
-        best = search.best() if header.ub_updates else None
-        return best, header.nodes_expanded, header.nodes_pruned
-
-
-def _python_share(
-    stack, half, tails, values, check_33: bool, enforce_all_33: bool,
-    shared_ub, poll_interval: int, use_kernel: bool,
-) -> Tuple[Optional[PartialTopology], int, int]:
-    """The reference worker loop (3-3 filter, scalar path, no C core)."""
-    kernel = BranchKernel(half) if use_kernel else None
-    if kernel is not None and not kernel.supported:
-        kernel = None  # oversized matrix: scalar fallback
-    expanded = 0
-    pruned = 0
-    local_ub = shared_ub.value
-    best: Optional[PartialTopology] = None
-    n = len(values)
-    while stack:
-        node = stack.pop()
-        if expanded % poll_interval == 0:
-            published = shared_ub.value
-            if published < local_ub:
-                local_ub = published
-        if node.lower_bound > local_ub - _EPS:
-            pruned += 1
-            continue
-        expanded += 1
-        s = node.next_species
-        tail = tails[s + 1]
-        survivors, cut = expand_positions(
-            node, tail, local_ub - _EPS, kernel
-        )
-        pruned += cut
-        if check_33:
-            children = [
-                child for child in survivors
-                if insertion_is_consistent(
-                    child, values, s, check_all_pairs=enforce_all_33
-                )
-            ]
-        else:
-            children = survivors
-        if node.num_leaves + 1 == n:
-            for child in children:
-                if child.cost < local_ub - _EPS:
-                    local_ub = child.cost
-                    best = child
-                    _publish(shared_ub, local_ub)
-        else:
-            children.sort(key=lambda c: -c.lower_bound)
-            stack.extend(children)
-    return best, expanded, pruned
+        message = ("error", worker_id, traceback.format_exc(), None)
+    counters = {
+        "expanded": stats.nodes_expanded,
+        "pruned": stats.nodes_pruned,
+        "trace_id": trace_id,
+    }
+    result_queue.put(message + (counters,))
 
 
 def _gather_results(
@@ -290,8 +202,6 @@ def multiprocess_mut(
     lower_bound: str = "minfront",
     relationship_33: bool = False,
     enforce_all_33: bool = False,
-    prebranch_factor: int = 2,
-    poll_interval: int = 64,
     use_kernel: bool = True,
     start_method: Optional[str] = None,
     recorder: Optional[NullRecorder] = None,
@@ -327,39 +237,28 @@ def multiprocess_mut(
         return _multiprocess_impl(
             matrix,
             n_workers,
-            lower_bound,
-            relationship_33,
-            enforce_all_33,
-            prebranch_factor,
-            poll_interval,
             method,
             rec,
             trace_id,
-            use_kernel,
+            lower_bound=lower_bound,
+            relationship_33=relationship_33,
+            enforce_all_33=enforce_all_33,
+            use_kernel=use_kernel,
         )
 
 
 def _multiprocess_impl(
     matrix: DistanceMatrix,
     n_workers: int,
-    lower_bound: str,
-    relationship_33: bool,
-    enforce_all_33: bool,
-    prebranch_factor: int,
-    poll_interval: int,
     method: str,
     rec: NullRecorder,
-    trace_id: Optional[str] = None,
-    use_kernel: bool = True,
+    trace_id: Optional[str],
+    **options,
 ) -> MultiprocessResult:
+    """The run inside the ``mp.solve`` span; ``options`` are the search
+    options :class:`SearchCore` and the sequential solver share."""
     if matrix.n < 4 or n_workers == 1:
-        seq = BranchAndBoundSolver(
-            lower_bound=lower_bound,
-            relationship_33=relationship_33,
-            enforce_all_33=enforce_all_33,
-            use_kernel=use_kernel,
-            recorder=rec,
-        ).solve(matrix)
+        seq = BranchAndBoundSolver(recorder=rec, **options).solve(matrix)
         return MultiprocessResult(
             tree=seq.tree,
             cost=seq.cost,
@@ -370,97 +269,42 @@ def _multiprocess_impl(
             start_method="sequential",
         )
 
-    ordered, _ = apply_maxmin(matrix)
-    labels = ordered.labels
-    values = [list(map(float, row)) for row in ordered.values]
-    half, tails = search_context(ordered, lower_bound)
-    check_33 = relationship_33 or enforce_all_33
-    kernel = BranchKernel(half) if use_kernel else None
-    if kernel is not None and not kernel.supported:
-        kernel = None  # oversized matrix: scalar fallback
-    if use_kernel and not check_33:
-        # Resolve the native core before forking, so workers inherit it.
-        native.library_for(matrix.n)
-
-    seed = upgmm(ordered)
-    upper_bound = seed.cost()
-    best_tree: UltrametricTree = seed
-    best_cost = upper_bound
-
-    # Master pre-branching (same as the simulator's master phase): a heap
-    # keyed by lower bound replaces the prototype's full re-sort per
-    # iteration; ties pop the most recently created child first.
-    root = PartialTopology.initial(half)
-    root.lower_bound = root.cost + tails[2]
-    queue: List[Tuple[float, int, PartialTopology]] = [
-        (root.lower_bound, 0, root)
-    ]
-    heap_seq = 0
-    target = prebranch_factor * n_workers
-    expanded = 0
-    pruned = 0
-    n = matrix.n
-    while queue and len(queue) < target:
-        _, _, node = heapq.heappop(queue)
-        if node.lower_bound > upper_bound - _EPS:
-            pruned += 1
-            continue
-        expanded += 1
-        s = node.next_species
-        tail = tails[s + 1]
-        survivors, cut = expand_positions(
-            node, tail, upper_bound - _EPS, kernel
-        )
-        pruned += cut
-        for child in survivors:
-            if check_33 and not insertion_is_consistent(
-                child, values, s, check_all_pairs=enforce_all_33
-            ):
-                continue
-            if child.is_complete:
-                if child.cost < upper_bound - _EPS:
-                    upper_bound = child.cost
-                    best_cost = child.cost
-                    best_tree = child.to_tree(labels)
-            else:
-                heap_seq -= 1
-                heapq.heappush(queue, (child.lower_bound, heap_seq, child))
+    core = SearchCore(matrix, **options)
+    # Resolve the native core before forking, so workers inherit it.
+    core.native_library()
+    # ``master`` keeps the global best: the pre-branch's incumbent, later
+    # offered every worker's result.
+    frontier, master = core.prebranch(_PREBRANCH_FACTOR * n_workers)
+    expanded = master.stats.nodes_expanded
+    pruned = master.stats.nodes_pruned
 
     # The parallel master reports progress at its natural heartbeat
     # points: after pre-branching (the frontier's bounds are the global
     # lower bound) and on each worker-result arrival (the shared upper
     # bound carries workers' live incumbent improvements).
     tracker = current_progress()
-    master_stats = SearchStats()
 
-    frontier = [entry[2] for entry in queue]
-    if not frontier:
+    def report(incumbent: float, open_nodes=(), final: bool = False) -> None:
         if tracker is not None:
-            master_stats.nodes_expanded = expanded
-            master_stats.nodes_created = expanded + pruned
-            tracker.final(best_cost, master_stats)
-        return MultiprocessResult(
-            tree=best_tree,
-            cost=best_cost,
-            nodes_expanded=expanded,
-            nodes_pruned=pruned,
-            n_workers=n_workers,
-            initial_upper_bound=seed.cost(),
-            start_method=method,
-        )
+            stats = SearchStats(
+                nodes_expanded=expanded,
+                nodes_created=expanded + pruned + len(open_nodes),
+            )
+            (tracker.final if final else tracker.tick)(
+                incumbent, stats, open_nodes
+            )
 
-    if tracker is not None:
-        master_stats.nodes_expanded = expanded
-        master_stats.nodes_created = expanded + pruned + len(frontier)
-        tracker.tick(upper_bound, master_stats, frontier)
+    if not frontier:
+        report(master.upper_bound, final=True)
+        return _result(core, master, expanded, pruned, n_workers, method)
+    report(master.upper_bound, frontier)
 
-    frontier.sort(key=lambda t: t.lower_bound)
     shares: List[List[tuple]] = [[] for _ in range(n_workers)]
     for index, node in enumerate(frontier):
         shares[index % n_workers].append(node.to_payload())
 
     ctx = multiprocessing.get_context(method)
-    shared_ub = ctx.Value("d", upper_bound)
+    shared_ub = ctx.Value("d", master.upper_bound)
     result_queue = ctx.Queue()
     processes: Dict[int, "multiprocessing.process.BaseProcess"] = {}
     starts: Dict[int, float] = {}
@@ -471,20 +315,7 @@ def _multiprocess_impl(
                 continue
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    worker_id,
-                    share,
-                    half,
-                    tails,
-                    values,
-                    check_33,
-                    enforce_all_33,
-                    shared_ub,
-                    result_queue,
-                    poll_interval,
-                    trace_id,
-                    use_kernel,
-                ),
+                args=(worker_id, core, share, shared_ub, result_queue, trace_id),
                 daemon=True,
             )
             starts[worker_id] = rec.clock()
@@ -497,12 +328,7 @@ def _multiprocess_impl(
             _, worker_id, cost, payload, counters = message
             expanded += counters["expanded"]
             pruned += counters["pruned"]
-            if tracker is not None:
-                master_stats.nodes_expanded = expanded
-                master_stats.nodes_created = expanded + pruned
-                tracker.tick(
-                    min(best_cost, shared_ub.value), master_stats, ()
-                )
+            report(min(master.upper_bound, shared_ub.value))
             if rec.enabled:
                 # Stamp the trace id that round-tripped through the
                 # worker process, not the master-side ambient one.
@@ -521,18 +347,15 @@ def _multiprocess_impl(
                 rec.counter(
                     "mp.nodes_pruned", counters["pruned"], worker=worker_id
                 )
-            if cost is not None and cost < best_cost - _EPS:
-                tree = PartialTopology.from_payload(payload, half).to_tree(
-                    labels
-                )
-                realised = tree.cost()
+            if payload is not None and master.offer(
+                PartialTopology.from_payload(payload, core.half)
+            ):
+                realised = master.topology.to_tree(core.labels).cost()
                 if abs(realised - cost) > 1e-9:
                     raise RuntimeError(
                         f"worker {worker_id} reported cost {cost!r} but its "
                         f"tree realises {realised!r} (lossy transport?)"
                     )
-                best_cost = cost
-                best_tree = tree
     finally:
         for proc in processes.values():
             if proc.is_alive():
@@ -541,16 +364,21 @@ def _multiprocess_impl(
             proc.join(timeout=5.0)
         result_queue.close()
 
-    if tracker is not None:
-        master_stats.nodes_expanded = expanded
-        master_stats.nodes_created = expanded + pruned
-        tracker.final(best_cost, master_stats)
+    report(master.upper_bound, final=True)
+    return _result(core, master, expanded, pruned, n_workers, method)
+
+
+def _result(
+    core: SearchCore, master: Incumbent, expanded: int, pruned: int,
+    n_workers: int, method: str,
+) -> MultiprocessResult:
+    best = master.topology
     return MultiprocessResult(
-        tree=best_tree,
-        cost=best_cost,
+        tree=core.seed if best is None else best.to_tree(core.labels),
+        cost=master.upper_bound,
         nodes_expanded=expanded,
         nodes_pruned=pruned,
         n_workers=n_workers,
-        initial_upper_bound=seed.cost(),
+        initial_upper_bound=core.seed_cost,
         start_method=method,
     )

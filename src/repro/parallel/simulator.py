@@ -1,9 +1,10 @@
 """Discrete-event simulation of the master/slave parallel branch-and-bound.
 
 The simulator executes the *identical* search logic as the sequential
-Algorithm BBU -- the same :class:`~repro.bnb.topology.PartialTopology`
-branching, the same lower bounds, the same 3-3 filter -- but interleaves
-``p`` workers on a simulated clock:
+Algorithm BBU -- the same set-up and expansion step
+(:class:`~repro.bnb.sequential.SearchCore`): the same branching, lower
+bounds and 3-3 filter -- but interleaves ``p`` workers on a simulated
+clock:
 
 * the master relabels the matrix, seeds the UPGMM upper bound, and
   pre-branches the BBT until the frontier reaches
@@ -30,13 +31,15 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.bnb.bounds import LOWER_BOUNDS, search_context
-from repro.bnb.kernel import BranchKernel, expand_positions
-from repro.bnb.relationship import insertion_is_consistent
+from repro.bnb.bounds import LOWER_BOUNDS
+from repro.bnb.sequential import (
+    _EPS,
+    BranchAndBoundSolver,
+    Incumbent,
+    SearchCore,
+)
 from repro.bnb.topology import PartialTopology
-from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.matrix.maxmin import apply_maxmin
 from repro.obs.recorder import NullRecorder, as_recorder
 from repro.parallel.config import ClusterConfig
 from repro.parallel.pools import SortedPool
@@ -45,7 +48,6 @@ from repro.tree.ultrametric import UltrametricTree
 
 __all__ = ["WorkerStats", "ParallelResult", "ParallelBranchAndBound"]
 
-_EPS = 1e-9
 #: Simulated cost of discarding a pruned node (bound comparison only).
 _PRUNE_COST = 1.0
 
@@ -96,11 +98,12 @@ class ParallelResult:
 class _Worker:
     """Mutable per-worker simulation state."""
 
-    __slots__ = ("pool", "ub", "broadcast_ptr", "stats")
+    __slots__ = ("pool", "bound", "broadcast_ptr", "stats")
 
     def __init__(self, worker_id: int, ub: float) -> None:
         self.pool: SortedPool[PartialTopology] = SortedPool()
-        self.ub = ub
+        #: The worker's local upper bound and search counters.
+        self.bound = Incumbent(ub)
         self.broadcast_ptr = 0
         self.stats = WorkerStats(worker_id)
 
@@ -173,8 +176,6 @@ class ParallelBranchAndBound:
         n = matrix.n
         if n < 3:
             # Too small to parallelise; fall back to the trivial cases.
-            from repro.bnb.sequential import BranchAndBoundSolver
-
             seq = BranchAndBoundSolver(
                 lower_bound=self.lower_bound, use_maxmin=self.use_maxmin
             ).solve(matrix)
@@ -190,69 +191,36 @@ class ParallelBranchAndBound:
                 initial_upper_bound=seq.stats.initial_upper_bound,
             )
 
-        ordered, _ = apply_maxmin(matrix) if self.use_maxmin else (matrix, None)
-        labels = ordered.labels
-        values = [list(map(float, row)) for row in ordered.values]
-        half, tails = search_context(ordered, self.lower_bound)
-        check_33 = self.relationship_33 or self.enforce_all_33
-        kernel = BranchKernel(half) if self.use_kernel else None
-        if kernel is not None and not kernel.supported:
-            kernel = None  # oversized matrix: scalar fallback
-
-        seed = upgmm(ordered)
-        global_ub = seed.cost()
-        best: Optional[PartialTopology] = None
+        core = SearchCore(
+            matrix,
+            self.lower_bound,
+            use_maxmin=self.use_maxmin,
+            relationship_33=self.relationship_33,
+            enforce_all_33=self.enforce_all_33,
+            use_kernel=self.use_kernel,
+        )
 
         # ------------------------------------------------------------------
         # Master phase: UPGMM + pre-branching, charged sequentially.
         # ------------------------------------------------------------------
         clock = cfg.expansion_unit_cost * n * n  # UPGMM / setup charge
-        frontier: List[PartialTopology] = []
-        root = PartialTopology.initial(half)
-        root.lower_bound = root.cost + tails[2]
-        # Best-lower-bound-first pre-branching.  A heap replaces the old
-        # full re-sort per iteration (O(q log q) each step); ties pop the
-        # most recently created child first, matching the old LIFO order.
-        queue: List[Tuple[float, int, PartialTopology]] = [(root.lower_bound, 0, root)]
-        heap_seq = 0
-        target = cfg.prebranch_factor * cfg.n_workers
-        pruned_in_prebranch = 0
-        expanded_in_prebranch = 0
-        while queue and len(queue) + len(frontier) < target:
-            _, _, node = heapq.heappop(queue)
-            if node.lower_bound > global_ub - _EPS:
-                pruned_in_prebranch += 1
-                clock += _PRUNE_COST
-                continue
-            clock += cfg.expansion_cost(node.num_leaves)
-            expanded_in_prebranch += 1
-            s = node.next_species
-            tail = tails[s + 1]
-            survivors, cut = expand_positions(
-                node, tail, global_ub - _EPS, kernel
-            )
-            pruned_in_prebranch += cut
-            for child in survivors:
-                if check_33 and not insertion_is_consistent(
-                    child, values, s, check_all_pairs=self.enforce_all_33
-                ):
-                    continue
-                if child.is_complete:
-                    if child.cost < global_ub - _EPS:
-                        global_ub = child.cost
-                        best = child
-                else:
-                    heap_seq -= 1
-                    heapq.heappush(queue, (child.lower_bound, heap_seq, child))
-        frontier.extend(entry[2] for entry in queue)
-        frontier.sort(key=lambda t: t.lower_bound)
+
+        def charge(node: PartialTopology, expanded: bool) -> None:
+            nonlocal clock
+            clock += cfg.expansion_cost(node.num_leaves) if expanded else _PRUNE_COST
+
+        # ``master`` keeps the global best: the pre-branch's incumbent,
+        # later offered every worker's improvements.
+        frontier, master = core.prebranch(
+            cfg.prebranch_factor * cfg.n_workers, charge
+        )
         setup_time = clock
 
         # ------------------------------------------------------------------
         # Dispatch: cyclic assignment, ~1/p of the nodes kept in the GP.
         # ------------------------------------------------------------------
         p = cfg.n_workers
-        workers = [_Worker(w, global_ub) for w in range(p)]
+        workers = [_Worker(w, master.upper_bound) for w in range(p)]
         gp: SortedPool[PartialTopology] = SortedPool()
         messages = p  # initial matrix + UB broadcast to every worker
         slot = 0
@@ -293,8 +261,8 @@ class ParallelBranchAndBound:
                 and broadcasts[worker.broadcast_ptr][0] <= now + _EPS
             ):
                 value = broadcasts[worker.broadcast_ptr][1]
-                if value < worker.ub:
-                    worker.ub = value
+                if value < worker.bound.upper_bound:
+                    worker.bound.upper_bound = value
                 worker.broadcast_ptr += 1
 
         while heap:
@@ -319,20 +287,22 @@ class ParallelBranchAndBound:
                 schedule(now, "work", wid)
                 continue
 
-            # action == "work"
+            # action == "work": take the most promising node the bound
+            # does not prune, and expand it.
             absorb_broadcasts(worker, now)
-            node = None
+            bound = worker.bound
+            updates = bound.stats.ub_updates
+            node = children = None
             elapsed = 0.0
             while worker.pool:
                 candidate = worker.pool.pop_best()
                 if candidate is None:
                     break
-                if candidate.lower_bound > worker.ub - _EPS:
-                    worker.stats.nodes_pruned += 1
-                    elapsed += _PRUNE_COST
-                    continue
-                node = candidate
-                break
+                children = core.step(candidate, bound)
+                if children is not None:
+                    node = candidate
+                    break
+                elapsed += _PRUNE_COST
 
             if node is None:
                 worker.stats.busy_time += elapsed
@@ -365,7 +335,6 @@ class ParallelBranchAndBound:
 
             dt = cfg.expansion_cost(node.num_leaves, wid)
             worker.stats.busy_time += elapsed + dt
-            worker.stats.nodes_expanded += 1
             done = now + elapsed + dt
             if record_trace:
                 if elapsed > 0:
@@ -374,33 +343,17 @@ class ParallelBranchAndBound:
                     )
                 trace.append(TraceInterval(wid, now + elapsed, done, "expand"))
 
-            s = node.next_species
-            tail = tails[s + 1]
-            improved = False
-            survivors, cut = expand_positions(
-                node, tail, worker.ub - _EPS, kernel
-            )
-            worker.stats.nodes_pruned += cut
-            for child in survivors:
-                if check_33 and not insertion_is_consistent(
-                    child, values, s, check_all_pairs=self.enforce_all_33
-                ):
-                    continue
-                if child.is_complete:
-                    if child.cost < worker.ub - _EPS:
-                        worker.ub = child.cost
-                        improved = True
-                        if best is None or child.cost < best.cost - _EPS:
-                            best = child
-                        if child.cost < global_ub:
-                            global_ub = child.cost
-                else:
-                    worker.pool.push(child.lower_bound, child)
+            for child in children:
+                worker.pool.push(child.lower_bound, child)
 
-            if improved and p > 1:
-                broadcasts.append((done + cfg.ub_broadcast_latency, worker.ub))
-                worker.stats.ub_broadcasts += 1
-                messages += p - 1
+            if bound.stats.ub_updates > updates:
+                master.offer(bound.topology)
+                if p > 1:
+                    broadcasts.append(
+                        (done + cfg.ub_broadcast_latency, bound.upper_bound)
+                    )
+                    worker.stats.ub_broadcasts += 1
+                    messages += p - 1
 
             if (
                 cfg.donate_when_global_empty
@@ -422,24 +375,21 @@ class ParallelBranchAndBound:
         messages += p
         makespan += cfg.transfer_latency
 
-        if best is None:
-            tree = seed
-            cost = global_ub
-        else:
-            tree = best.to_tree(labels)
-            cost = best.cost
-
+        best = master.topology
+        for worker in workers:
+            worker.stats.nodes_expanded = worker.bound.stats.nodes_expanded
+            worker.stats.nodes_pruned = worker.bound.stats.nodes_pruned
         return ParallelResult(
-            tree=tree,
-            cost=cost,
+            tree=core.seed if best is None else best.to_tree(core.labels),
+            cost=core.seed_cost if best is None else best.cost,
             makespan=makespan,
             setup_time=setup_time,
-            total_nodes_expanded=expanded_in_prebranch
+            total_nodes_expanded=master.stats.nodes_expanded
             + sum(w.stats.nodes_expanded for w in workers),
-            total_nodes_pruned=pruned_in_prebranch
+            total_nodes_pruned=master.stats.nodes_pruned
             + sum(w.stats.nodes_pruned for w in workers),
             messages=messages,
             workers=[w.stats for w in workers],
-            initial_upper_bound=seed.cost(),
+            initial_upper_bound=core.seed_cost,
             trace=trace,
         )

@@ -13,7 +13,12 @@ proven bracket), which makes the repository its own oracle:
   exact inside every compact set, so it can never beat the optimum, and
   the paper proves it never loses to the UPGMM upper bound;
 * every feasible method's cost must be at least the exact optimum;
-* every method's tree must pass every single-tree oracle.
+* every method's tree must pass every single-tree oracle;
+* up to :data:`BRUTE_FORCE_MAX_SPECIES` species, every exact engine must
+  also match exhaustive enumeration
+  (:func:`repro.bnb.enumeration.brute_force_mut`).  The exact engines
+  share one search core, so agreeing with each other no longer proves
+  them right; enumeration shares no search code with them.
 
 :func:`run_differential` runs a configurable set of methods over one
 matrix and folds everything into a :class:`DifferentialReport` whose
@@ -27,11 +32,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bnb.enumeration import brute_force_mut
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.verify.oracles import Oracle, Violation, run_oracles
 
 __all__ = [
     "EXACT_METHODS",
+    "BRUTE_FORCE_MAX_SPECIES",
     "BRACKET_METHODS",
     "SEARCH_TWINS",
     "FEASIBLE_HEURISTICS",
@@ -67,6 +74,10 @@ FEASIBLE_HEURISTICS: Tuple[str, ...] = ("upgmm", "greedy")
 DEFAULT_DIFFERENTIAL_METHODS: Tuple[str, ...] = (
     EXACT_METHODS + BRACKET_METHODS[:1] + FEASIBLE_HEURISTICS[:1]
 )
+
+#: Largest matrix the brute-force voter enumerates: 135,135 topologies
+#: at 8 species (about a second), 15x more at 9.
+BRUTE_FORCE_MAX_SPECIES = 8
 
 #: Relative agreement tolerance between exact engines ("to 1e-9").
 EXACT_RTOL = 1e-9
@@ -204,13 +215,15 @@ def run_differential(
                 )
             )
 
-    cross = _cross_checks(outcomes)
+    cross = _cross_checks(outcomes, matrix)
     return DifferentialReport(
         n_species=matrix.n, outcomes=outcomes, cross_violations=cross
     )
 
 
-def _cross_checks(outcomes: Dict[str, MethodOutcome]) -> List[Violation]:
+def _cross_checks(
+    outcomes: Dict[str, MethodOutcome], matrix: DistanceMatrix
+) -> List[Violation]:
     violations: List[Violation] = []
     exact = {
         m: outcomes[m].cost
@@ -234,6 +247,18 @@ def _cross_checks(outcomes: Dict[str, MethodOutcome]) -> List[Violation]:
                         },
                     )
                 )
+    if exact and matrix.n <= BRUTE_FORCE_MAX_SPECIES:
+        _, enumerated = brute_force_mut(matrix)
+        violations.extend(
+            Violation(
+                "differential.brute_force",
+                f"{method} cost {cost:.12g} differs from the exhaustive "
+                f"optimum {enumerated:.12g}",
+                {"method": method, "cost": cost, "optimum": enumerated},
+            )
+            for method, cost in exact.items()
+            if _relative_gap(cost, enumerated) > EXACT_RTOL
+        )
     optimum = min(exact.values()) if exact else None
 
     twins = {

@@ -1,5 +1,7 @@
 """Tests for Algorithm BBU (sequential branch-and-bound)."""
 
+import random
+
 import pytest
 
 from repro.bnb.bounds import half_matrix
@@ -26,6 +28,16 @@ def brute_force_optimum(matrix):
         for pos in range(len(t.parent)):
             stack.append(t.child(pos))
     return best
+
+
+def tied_matrix(seed, n=6):
+    """Distances drawn from {2, 4, 6}, upper triangle filled row-major."""
+    rnd = random.Random(seed)
+    values = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = float(rnd.choice([2, 4, 4, 6]))
+    return DistanceMatrix(values)
 
 
 class TestCorrectness:
@@ -129,22 +141,25 @@ class TestOptions:
             assert dominates_matrix(tree, m)
 
     def test_collect_all_finds_every_optimum(self):
-        """Cross-check the optima set against exhaustive enumeration."""
-        m = random_metric_matrix(6, seed=29)
-        result = exact_mut(m, collect_all=True)
-        best = brute_force_optimum(m)
-        stack = [PartialTopology.initial(half_matrix(m))]
-        count = 0
-        signatures = set()
-        while stack:
-            t = stack.pop()
-            if t.is_complete:
-                if t.cost <= best + 1e-9:
-                    signatures.add(t.signature())
-                continue
-            for pos in range(len(t.parent)):
-                stack.append(t.child(pos))
-        assert len(result.all_trees) == len(signatures)
+        """Cross-check the optima set against exhaustive enumeration.
+
+        The tied matrices (integer distances, 5 and 3 optima) need the
+        ties found after the first incumbent improvement to be kept.
+        """
+        for m in (random_metric_matrix(6, seed=29), tied_matrix(7), tied_matrix(9)):
+            result = exact_mut(m, collect_all=True)
+            best = brute_force_optimum(m)
+            stack = [PartialTopology.initial(half_matrix(m))]
+            signatures = set()
+            while stack:
+                t = stack.pop()
+                if t.is_complete:
+                    if t.cost <= best + 1e-9:
+                        signatures.add(t.signature())
+                    continue
+                for pos in range(len(t.parent)):
+                    stack.append(t.child(pos))
+            assert len(result.all_trees) == len(signatures)
 
 
 class TestStats:

@@ -15,8 +15,10 @@ from repro.matrix.generators import (
     random_metric_matrix,
     random_ultrametric_matrix,
 )
+from repro.verify import differential
 from repro.verify.differential import (
     BRACKET_METHODS,
+    BRUTE_FORCE_MAX_SPECIES,
     DEFAULT_DIFFERENTIAL_METHODS,
     EXACT_METHODS,
     SEARCH_TWINS,
@@ -143,6 +145,32 @@ class TestMutationDetection:
         assert [v.oracle for v in report.violations] == [
             "differential.search_identity"
         ]
+
+    def test_shared_wrong_answer_caught_by_brute_force(self):
+        # Every engine answers with the UPGMM tree: the exact engines
+        # agree with each other, every tree is feasible and its cost is
+        # honest, and the compact bracket holds -- only exhaustive
+        # enumeration knows the optimum is 118.39, not 121.94.
+        matrix = random_metric_matrix(6, seed=3, integer=False)
+
+        def build(m, method, **kwargs):
+            return construct_tree(m, "upgmm", **kwargs)
+
+        report = run_differential(matrix, build_fn=build)
+        assert {v.oracle for v in report.violations} == {
+            "differential.brute_force"
+        }
+        assert {v.details["method"] for v in report.violations} == set(
+            EXACT_METHODS
+        )
+        assert report.violations[0].details["optimum"] == pytest.approx(
+            118.388703761186
+        )
+
+    def test_brute_force_voter_skips_large_matrices(self, monkeypatch):
+        matrix = random_metric_matrix(BRUTE_FORCE_MAX_SPECIES + 1, seed=3)
+        monkeypatch.setattr(differential, "brute_force_mut", pytest.fail)
+        assert run_differential(matrix, ("bnb",)).ok
 
     def test_crashing_engine_isolated(self):
         matrix = random_metric_matrix(5, seed=5)
