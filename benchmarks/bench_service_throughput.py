@@ -17,6 +17,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --quick  # CI
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke  # CI
                            # smoke: subprocess serve + one POST + SIGTERM drain
+    PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke \
+        --backend process --method multiprocess
+                           # the same smoke, served with that backend/method
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --metrics-smoke
                            # subprocess serve + one POST + GET /metrics +
                            # live /jobs/<id>/progress snapshots during a
@@ -367,9 +370,13 @@ def metrics_smoke() -> int:
             proc.wait(timeout=10)
 
 
-def smoke(backend: str = None) -> int:
-    """CI smoke: subprocess serve, one POST /solve, assert 200, drain."""
-    cmd = [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
+def smoke(backend: str = None, method: str = "compact") -> int:
+    """CI smoke: subprocess serve, one POST /solve, assert 200, drain.
+
+    The server's default method is ``method``, so the POST solves with it.
+    """
+    cmd = [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+           "--method", method]
     if backend:
         cmd += ["--backend", backend]
     proc = subprocess.Popen(
@@ -386,6 +393,7 @@ def smoke(backend: str = None) -> int:
         client = ServiceClient(ready.split()[-1], timeout=60.0)
         record = client.solve(clustered_matrix([3, 3], seed=1))
         assert record["state"] == "done", record
+        assert record["method"] == method, record
         print(f"solved: {record['result']['newick']}")
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)
@@ -395,7 +403,7 @@ def smoke(backend: str = None) -> int:
             assert f"backend={backend}" in stderr, stderr
         assert code == 0, f"serve exited {code}"
         print(f"smoke OK: solve 200 + SIGTERM drain "
-              f"(backend={backend or 'auto'})")
+              f"(backend={backend or 'auto'}, method={method})")
         return 0
     finally:
         if proc.poll() is None:
@@ -429,7 +437,7 @@ def main(argv=None) -> int:
                              "trend charts them across versions)")
     args = parser.parse_args(argv)
     if args.smoke:
-        return smoke(args.backend)
+        return smoke(args.backend, args.method)
     if args.metrics_smoke:
         return metrics_smoke()
     if args.scaling:

@@ -3,8 +3,9 @@
 Runs the parallel branch-and-bound on the simulated master/slave cluster
 across several cluster sizes, printing the speedup curve, per-worker
 load balance and message traffic -- the quantities behind the HPCAsia
-paper's Figures 1-8.  Finishes with a real multi-process run on local
-cores to confirm the decomposition gives the same optimum.
+paper's Figures 1-8.  Finishes with a real multi-core run (worker
+threads) on local cores to confirm the decomposition gives the same
+optimum.
 
 Run with::
 
@@ -48,7 +49,7 @@ def main() -> None:
     # Cross-check on real cores.
     mp = multiprocess_mut(matrix, n_workers=4)
     match = "matches" if abs(mp.cost - baseline.cost) < 1e-9 else "DIFFERS FROM"
-    print(f"\nreal 4-process run: cost {mp.cost:.2f} ({match} the simulated optimum)")
+    print(f"\nreal 4-worker run: cost {mp.cost:.2f} ({match} the simulated optimum)")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ the repository implements is reachable by name:
 ``"bnb"``          plain sequential Algorithm BBU (exact, native C core)
 ``"bnb-scalar"``   sequential BBU with the scalar branching reference
 ``"parallel-bnb"`` plain simulated-cluster Algorithm BBU (exact)
-``"multiprocess"`` real multi-core Algorithm BBU (exact, worker processes)
+``"multiprocess"`` real multi-core Algorithm BBU (exact, worker threads)
 ``"upgma"``        UPGMA heuristic
 ``"upgmm"``        UPGMM heuristic (feasible upper bound)
 ``"greedy"``       sequential-addition heuristic (feasible, cheaper)

@@ -12,7 +12,8 @@ Independent subproblems can solve concurrently: sibling compact sets
 share no species, so their reduced matrices are disjoint and the
 ``subproblem_workers`` thread pool fans the recursion out across them
 (threads, not processes -- the branch kernel's numpy work releases the
-GIL, and the multiprocess engine already covers process-level scaling).
+GIL, and so does the native search core, on which the multiprocess
+engine's worker threads also run in parallel).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ bounds and refilling from (or donating back to) the global pool.
 We reproduce that system as a deterministic discrete-event simulation
 (:mod:`repro.parallel.simulator`) -- the search dynamics, including the
 super-linear speedups the papers report, are scheduling phenomena the
-simulator reproduces exactly -- plus a real ``multiprocessing`` engine
-(:mod:`repro.parallel.multiprocess`) for end-to-end validation on actual
-cores.
+simulator reproduces exactly -- plus a real multi-core engine
+(:mod:`repro.parallel.multiprocess`, worker threads on the GIL-free
+native search core) for end-to-end validation on actual cores.
 """
 
 from repro.parallel.config import ClusterConfig, grid_config

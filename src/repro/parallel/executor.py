@@ -1,18 +1,10 @@
-"""Reusable worker-process lifecycle and supervision primitives.
+"""Worker-process lifecycle and supervision.
 
-Two execution shapes in this repository put jobs into child processes,
-and both need the same hard guarantees -- a dead or wedged process is
-*detected*, reported with a typed error, and never hangs the parent:
-
-* the **one-shot scatter/gather** of :func:`repro.parallel.multiprocess.
-  multiprocess_mut` (spawn ``p`` workers, each solves one share of the
-  frontier, collect one message per worker) -- served here by
-  :func:`gather_one_per_worker`, extracted from that module's original
-  ``_gather_results``;
-* the **long-lived pool** of the serving layer's process backend (a
-  fixed set of worker processes each executing a stream of jobs) --
-  served by :class:`WorkerSlot`, a single supervised, respawnable
-  worker process.
+:class:`WorkerSlot` -- one supervised, respawnable worker process
+executing a stream of tasks -- is the only code in this repository that
+runs worker processes: the serving layer's process backend (and so the
+campaign runner) builds its pool from it.  A dead or wedged process is
+*detected*, reported with a typed error, and never hangs the parent.
 
 Failure taxonomy (all :class:`RuntimeError` subclasses, so existing
 "supervision raises RuntimeError" contracts keep holding):
@@ -37,7 +29,7 @@ import os
 import queue as queue_lib
 import time
 import traceback
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 __all__ = [
     "RemoteTaskError",
@@ -45,7 +37,7 @@ __all__ = [
     "WorkerTimeout",
     "WorkerSlot",
     "emit_slot_progress",
-    "gather_one_per_worker",
+    "select_start_method",
 ]
 
 #: Seconds between liveness checks while a parent waits on a child.
@@ -120,79 +112,23 @@ class WorkerTimeout(RuntimeError):
         self.overrun = overrun
 
 
-# ----------------------------------------------------------------------
-# one-shot scatter/gather supervision (extracted from multiprocess.py)
-# ----------------------------------------------------------------------
-def gather_one_per_worker(
-    processes: Dict[int, "multiprocessing.process.BaseProcess"],
-    result_queue,
-    *,
-    arrivals: Optional[Dict[int, float]] = None,
-    clock: Optional[Callable[[], float]] = None,
-    poll_timeout: float = DEFAULT_POLL_TIMEOUT,
-    lost_result_grace: int = DEFAULT_LOST_RESULT_GRACE,
-    what: str = "worker",
-    on_progress: Optional[Callable] = None,
-) -> List[tuple]:
-    """Collect one message per worker, supervising worker liveness.
+def select_start_method(preferred: Optional[str] = None) -> str:
+    """Pick a :mod:`multiprocessing` start method that exists here.
 
-    Messages are ``(kind, worker_id, *rest)`` tuples; ``kind ==
-    "error"`` means the worker shipped a formatted traceback (raised as
-    :class:`RemoteTaskError`).  ``kind == "progress"`` messages are
-    out-of-band telemetry: fed to ``on_progress(worker_id, payload)``
-    when supplied (exceptions swallowed), dropped otherwise, and never
-    counted against a worker's one expected result.  Raises
-    :class:`WorkerCrashed` naming the worker when one dies without
-    reporting (non-zero exit code or a lost result).  When
-    ``arrivals``/``clock`` are supplied, each worker's result-arrival
-    timestamp is recorded so the caller can emit per-worker spans.
+    ``fork`` is preferred where the platform offers it (cheapest, shares
+    the parent's pages); otherwise ``spawn``.  Passing ``preferred``
+    forces that method, raising :class:`ValueError` if the platform does
+    not support it (e.g. ``fork`` on Windows).
     """
-    pending = dict(processes)
-    results: List[tuple] = []
-    clean_exit_polls = 0
-    while pending:
-        try:
-            message = result_queue.get(timeout=poll_timeout)
-        except queue_lib.Empty:
-            dead_clean = []
-            for worker_id, proc in sorted(pending.items()):
-                if proc.is_alive():
-                    continue
-                code = proc.exitcode
-                if code not in (0, None):
-                    raise WorkerCrashed(
-                        worker_id, proc.pid, code, what=what
-                    )
-                dead_clean.append(worker_id)
-            if dead_clean and len(dead_clean) == len(pending):
-                clean_exit_polls += 1
-                if clean_exit_polls >= lost_result_grace:
-                    raise WorkerCrashed(
-                        dead_clean[0],
-                        pending[dead_clean[0]].pid,
-                        0,
-                        what=what,
-                        detail=(
-                            f"(workers {dead_clean} exited cleanly but "
-                            f"their results never arrived)"
-                        ),
-                    )
-            continue
-        kind, worker_id = message[0], message[1]
-        if kind == "progress":
-            if on_progress is not None:
-                try:
-                    on_progress(worker_id, message[2])
-                except Exception:  # noqa: BLE001 - telemetry only
-                    pass
-            continue
-        if kind == "error":
-            raise RemoteTaskError(worker_id, message[2], what=what)
-        pending.pop(worker_id, None)
-        if arrivals is not None and clock is not None:
-            arrivals[worker_id] = clock()
-        results.append(message)
-    return results
+    available = multiprocessing.get_all_start_methods()
+    if preferred is not None:
+        if preferred not in available:
+            raise ValueError(
+                f"start method {preferred!r} is not available on this "
+                f"platform; choose from {available}"
+            )
+        return preferred
+    return "fork" if "fork" in available else "spawn"
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +237,6 @@ class WorkerSlot:
         name_prefix: str = "repro-slot",
         what: str = "worker process",
     ) -> None:
-        from repro.parallel.multiprocess import select_start_method
-
         self.worker_id = worker_id
         self.runner = runner
         self.start_method = select_start_method(start_method)

@@ -1,5 +1,6 @@
 """WorkerSlot supervision: crash detection, respawn, deadline kill."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -12,7 +13,10 @@ from repro.parallel.executor import (
     WorkerSlot,
     WorkerTimeout,
     emit_slot_progress,
+    select_start_method,
 )
+
+AVAILABLE = multiprocessing.get_all_start_methods()
 
 
 def echo_task(task):
@@ -185,3 +189,21 @@ class TestStop:
 
     def test_stop_without_start(self):
         assert WorkerSlot(9, echo_task).stop()
+
+
+class TestStartMethodSelection:
+    def test_default_is_supported(self):
+        assert select_start_method() in AVAILABLE
+
+    def test_fork_preferred_when_available(self):
+        if "fork" in AVAILABLE:
+            assert select_start_method() == "fork"
+
+    def test_explicit_method_passes_through(self):
+        for method in ("fork", "spawn"):
+            if method in AVAILABLE:
+                assert select_start_method(method) == method
+
+    def test_unavailable_method_rejected(self):
+        with pytest.raises(ValueError):
+            select_start_method("no-such-start-method")

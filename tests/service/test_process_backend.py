@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from repro.matrix.generators import clustered_matrix
+from repro.bnb.sequential import exact_mut
+from repro.matrix.generators import clustered_matrix, random_metric_matrix
 from repro.obs import MetricsRegistry, Recorder
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobState
@@ -88,6 +89,15 @@ class TestRoundtrip:
         with Scheduler(workers=1, backend="process") as processed:
             via_process = processed.solve(matrix, "compact", timeout=60.0)
         assert via_process == via_thread
+
+    def test_multiprocess_method_runs_in_worker_process(self):
+        """The multi-core engine solves inside a (daemonic) slot child."""
+        m = random_metric_matrix(10, seed=1)
+        with Scheduler(workers=1, backend="process") as sched:
+            job = sched.submit(m, "multiprocess", {"workers": 2})
+            job.wait(120.0)
+            assert job.state == JobState.DONE, job.error
+            assert job.payload["cost"] == pytest.approx(exact_mut(m).cost)
 
 
 class TestTelemetryForwarding:
