@@ -20,10 +20,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke \
         --backend process --method multiprocess
                            # the same smoke, served with that backend/method
-    PYTHONPATH=src python benchmarks/bench_service_throughput.py --metrics-smoke
-                           # subprocess serve + one POST + GET /metrics +
-                           # live /jobs/<id>/progress snapshots during a
-                           # capped exact solve
+    PYTHONPATH=src python benchmarks/bench_service_throughput.py --metrics-smoke \
+        [--backend thread]
+                           # subprocess serve (process backend unless
+                           # --backend says otherwise) + one POST +
+                           # GET /metrics + live /jobs/<id>/progress
+                           # snapshots during a capped exact solve
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --db run.sqlite
                            # also upsert summaries into a campaign DB
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --scaling
@@ -304,14 +306,16 @@ def measure_process_scaling(
     return report
 
 
-def metrics_smoke() -> int:
-    """CI smoke: serve subprocess, one solve, /metrics content, and the
-    live-progress path: a node-capped n=26 exact solve through the
-    process backend must publish >= 2 distinct ``/jobs/<id>/progress``
-    snapshots while running, and ``bnb_gap`` must reach ``/metrics``."""
+def metrics_smoke(backend: str = "process") -> int:
+    """CI smoke: serve subprocess, one solve, /metrics content (including
+    the ``solve_seconds`` the engine records, which on the process
+    backend crosses the process boundary), and the live-progress path: a
+    node-capped n=26 exact solve must publish >= 2 distinct
+    ``/jobs/<id>/progress`` snapshots while running, and ``bnb_gap``
+    must reach ``/metrics``."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--backend", "process"],
+         "--backend", backend],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -325,7 +329,11 @@ def metrics_smoke() -> int:
         record = client.solve(clustered_matrix([3, 3], seed=1))
         assert record["state"] == "done", record
         text = client.metrics()
-        for needle in ("service_job_seconds_bucket", "cache_miss_total"):
+        for needle in (
+            "service_job_seconds_bucket",
+            "cache_miss_total",
+            'solve_seconds_count{method="compact"} 1\n',
+        ):
             assert needle in text, f"/metrics is missing {needle!r}:\n{text}"
         stats = client.stats()
         assert "metrics" in stats, sorted(stats)
@@ -334,7 +342,9 @@ def metrics_smoke() -> int:
         slow = client.solve(
             clustered_matrix([13, 13], seed=5),
             method="bnb",
-            options={"node_limit": 30000},
+            # About a second on the native core: long enough for
+            # several 0.25 s heartbeats to be polled mid-solve.
+            options={"node_limit": 2_000_000},
             wait=False,
         )
         job_id = slow["id"]
@@ -360,9 +370,9 @@ def metrics_smoke() -> int:
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)
         assert code == 0, f"serve exited {code}: {proc.stderr.read()}"
-        print(f"metrics smoke OK: /metrics exposes job histogram + cache "
-              f"counters; live progress published {len(snapshots)} "
-              f"snapshot(s) + bnb_gap gauge")
+        print(f"metrics smoke OK ({backend} backend): /metrics exposes "
+              f"job and solve histograms + cache counters; live progress "
+              f"published {len(snapshots)} snapshot(s) + bnb_gap gauge")
         return 0
     finally:
         if proc.poll() is None:
@@ -424,7 +434,8 @@ def main(argv=None) -> int:
                              "merge a process_scaling section into --out")
     parser.add_argument("--backend", default=None,
                         choices=("auto", "thread", "process"),
-                        help="backend the --smoke subprocess serves with")
+                        help="backend the --smoke / --metrics-smoke "
+                             "subprocess serves with")
     parser.add_argument("--requests", type=int, default=None)
     parser.add_argument("--species", type=int, default=None)
     parser.add_argument("--method", default="compact")
@@ -439,7 +450,7 @@ def main(argv=None) -> int:
     if args.smoke:
         return smoke(args.backend, args.method)
     if args.metrics_smoke:
-        return metrics_smoke()
+        return metrics_smoke(args.backend or "process")
     if args.scaling:
         scaling = measure_process_scaling(
             species=args.species or 18,

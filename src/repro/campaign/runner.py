@@ -23,9 +23,9 @@ What the runner adds on top:
   SIGTERM/SIGINT) stops *submission*, drains the in-flight window,
   persists it, and marks the campaign ``interrupted``.
 * **Observability** -- a ``campaign.case`` span per case (submit ->
-  settle, so queue wait is visible) and ``campaign.cases{state}``
-  counters in the metrics registry, so ``/metrics`` shows live campaign
-  progress.
+  settle, so queue wait is visible), from which the recorder's metrics
+  registry derives ``campaign.cases{state}``, so ``/metrics`` shows live
+  campaign progress.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.campaign.db import CampaignDB
 from repro.campaign.suite import Case, Suite
-from repro.obs.metrics import MetricsRegistry, as_metrics
-from repro.obs.recorder import NullRecorder, Recorder, SpanEvent, as_recorder
+from repro.obs.recorder import NullRecorder, Recorder, SpanEvent
 from repro.service.cache import cache_key
 from repro.service.jobs import Job, JobState
 from repro.service.scheduler import Scheduler
@@ -147,7 +146,6 @@ def run_campaign(
     verify: bool = True,
     job_timeout: Optional[float] = None,
     recorder: Optional[NullRecorder] = None,
-    metrics: Optional[MetricsRegistry] = None,
     stop: Optional[threading.Event] = None,
     stop_after: Optional[int] = None,
     throttle_seconds: float = 0.0,
@@ -182,13 +180,7 @@ def run_campaign(
     """
     own_db = isinstance(db, str)
     handle = CampaignDB(db) if own_db else db
-    rec = Recorder() if recorder is None else as_recorder(recorder)
-    registry = as_metrics(metrics)
-    m_cases = registry.counter(
-        "campaign.cases",
-        "Campaign cases settled, by terminal state.",
-        labelnames=("state",),
-    )
+    rec = Recorder() if recorder is None else recorder
     stop = stop or threading.Event()
     t_start = time.time()
     try:
@@ -234,7 +226,6 @@ def run_campaign(
             workers=workers,
             queue_size=window + workers,
             recorder=rec,
-            metrics=registry,
             default_timeout=job_timeout,
             backend=backend,
             start_method=start_method,
@@ -249,7 +240,6 @@ def run_campaign(
                 handle, campaign_id, case, job, submit_error, rec,
                 t_submit=t_submit,
             )
-            m_cases.inc(state=state)
             settled += 1
             result.executed += 1
             if progress is not None:

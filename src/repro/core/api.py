@@ -29,7 +29,6 @@ from repro.heuristics.nj import neighbor_joining
 from repro.heuristics.greedy import greedy_insertion
 from repro.heuristics.upgma import upgma, upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.obs.metrics import MetricsRegistry, as_metrics
 from repro.obs.recorder import NullRecorder, as_recorder
 from repro.parallel.config import ClusterConfig
 from repro.parallel.simulator import ParallelBranchAndBound
@@ -90,7 +89,6 @@ def construct_tree(
     *,
     cluster: Optional[ClusterConfig] = None,
     recorder: Optional[NullRecorder] = None,
-    metrics: Optional[MetricsRegistry] = None,
     verify: bool = False,
     **options,
 ) -> ConstructionResult:
@@ -110,27 +108,17 @@ def construct_tree(
     the failure policy.  ``"nj"`` results are additive, not ultrametric,
     and skip verification.
 
-    Every call -- whatever the method -- records its wall-clock latency
-    into the ``solve.seconds`` histogram (labelled by method) on
-    ``metrics``, defaulting to the process-wide
-    :data:`repro.obs.metrics.REGISTRY`; that is how ``GET /metrics`` on
-    a serving process sees per-method engine latency without any
-    per-request wiring.
+    Every call -- whatever the method -- runs the engine inside a
+    ``solve{method}`` span, from which the recorder's metrics registry
+    (the process-wide :data:`repro.obs.metrics.REGISTRY` for the default
+    recorder) derives the ``solve.seconds`` histogram; that is how
+    ``GET /metrics`` on a serving process sees per-method engine latency
+    without any per-request wiring.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    registry = as_metrics(metrics)
-    import time as _time
-
-    t0 = _time.perf_counter()
-    try:
+    with as_recorder(recorder).span("solve", method=method):
         result = _dispatch(matrix, method, cluster, recorder, options)
-    finally:
-        registry.histogram(
-            "solve.seconds",
-            "Engine latency of construct_tree, per method.",
-            labelnames=("method",),
-        ).observe(_time.perf_counter() - t0, method=method)
     if verify and method != "nj":
         from repro.verify.oracles import run_oracles
 
@@ -140,7 +128,6 @@ def construct_tree(
             reported_cost=result.cost,
             method=method,
             recorder=recorder,
-            metrics=registry,
         )
     return result
 
@@ -217,7 +204,6 @@ def construct_tree_cached(
     cache,
     cluster: Optional[ClusterConfig] = None,
     recorder: Optional[NullRecorder] = None,
-    metrics: Optional[MetricsRegistry] = None,
     verify: bool = False,
     **options,
 ) -> ConstructionResult:
@@ -248,10 +234,9 @@ def construct_tree_cached(
     if method == "nj":
         return construct_tree(
             matrix, method, cluster=cluster, recorder=recorder,
-            metrics=metrics, verify=verify, **options
+            verify=verify, **options
         )
     rec = as_recorder(recorder)
-    registry = as_metrics(metrics)
     key_options = dict(options)
     if cluster is not None:
         key_options["workers"] = cluster.n_workers
@@ -259,9 +244,6 @@ def construct_tree_cached(
     payload = cache.get(key)
     if payload is not None:
         rec.counter("cache.hit", key=key[:12])
-        registry.counter(
-            "cache.hit", "Content-addressed result-cache hits."
-        ).inc()
         result = ConstructionResult(
             tree=parse_newick(payload["newick"]),
             cost=payload["cost"],
@@ -277,16 +259,12 @@ def construct_tree_cached(
                 reported_cost=result.cost,
                 method=result.method,
                 recorder=recorder,
-                metrics=registry,
             )
         return result
     rec.counter("cache.miss", key=key[:12])
-    registry.counter(
-        "cache.miss", "Content-addressed result-cache misses."
-    ).inc()
     result = construct_tree(
         matrix, method, cluster=cluster, recorder=recorder,
-        metrics=metrics, verify=verify, **options
+        verify=verify, **options
     )
     cache.put(key, {
         "method": result.method,

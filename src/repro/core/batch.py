@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.api import construct_tree
 from repro.matrix.distance_matrix import DistanceMatrix
+from repro.obs.metrics import NULL_METRICS
 from repro.obs.recorder import NullRecorder
 
 __all__ = ["MethodAggregate", "BatchReport", "BatchRunner"]
@@ -141,7 +142,8 @@ class BatchRunner:
         self.clock = clock
         # No recorder given: still route engine timing through our clock
         # via a null recorder, so an injected clock governs *all* timing.
-        self.recorder = recorder if recorder is not None else NullRecorder(clock)
+        # It feeds no registry, so no metric span reads that clock either.
+        self.recorder = recorder or NullRecorder(clock, metrics=NULL_METRICS)
 
     def run(self, matrices: Sequence[DistanceMatrix]) -> BatchReport:
         """Execute every method on every matrix."""

@@ -5,8 +5,8 @@
 
 * **observability** -- each executed stage runs inside an
   ``ingest.stage`` span (schema-v1, trace-id stamped) with
-  ``ingest.records`` / ``ingest.rejections`` counters, and its latency
-  lands in the ``ingest.stage.seconds`` histogram;
+  ``ingest.records`` / ``ingest.rejections`` counters; its metrics
+  (``ingest.stage.seconds``, ``ingest.runs``, ...) derive from events;
 * **the manifest** -- every stage appends a
   :class:`~repro.ingest.manifest.StageRecord` (status, duration,
   counters, stage detail, resume artifacts), and the manifest is saved
@@ -45,7 +45,6 @@ from repro.ingest.stages import (
     stage_repair,
 )
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.obs.metrics import MetricsRegistry, as_metrics
 from repro.obs.recorder import as_recorder
 
 __all__ = ["IngestResult", "run_pipeline"]
@@ -111,7 +110,6 @@ def run_pipeline(
     verify: bool = False,
     manifest_path: Optional[Union[str, Path]] = None,
     recorder=None,
-    metrics: Optional[MetricsRegistry] = None,
     cache=None,
     cluster=None,
     solver_options: Optional[Dict[str, object]] = None,
@@ -141,7 +139,6 @@ def run_pipeline(
 
     qc = qc or QCConfig()
     rec = as_recorder(recorder)
-    registry = as_metrics(metrics)
     distance = resolve_method(distance)
 
     if text:
@@ -224,12 +221,6 @@ def run_pipeline(
             )
             save()
             raise
-        finally:
-            registry.histogram(
-                "ingest.stage.seconds",
-                "Ingestion stage latency, per stage.",
-                labelnames=("stage",),
-            ).observe(time.perf_counter() - t0, stage=name)
         record.duration_seconds = time.perf_counter() - t0
         manifest.stages.append(record)
         if record.counters.get("rejections"):
@@ -383,7 +374,6 @@ def run_pipeline(
                     cache=cache if cache is not None else ResultCache(),
                     cluster=cluster,
                     recorder=recorder,
-                    metrics=registry,
                     verify=verify,
                     **(solver_options or {}),
                 )
@@ -406,12 +396,8 @@ def run_pipeline(
         manifest.status = "partial" if manifest.rejections else "ok"
         manifest.failed_stage = None
         save()
-        registry.counter(
-            "ingest.runs", "Completed ingestion pipeline runs."
-        ).inc()
+        rec.counter("ingest.run")
         return IngestResult(manifest=manifest, matrix=repaired, result=result)
     except StageFailure:
-        registry.counter(
-            "ingest.failures", "Ingestion pipeline runs that failed QC."
-        ).inc()
+        rec.counter("ingest.failure")
         return IngestResult(manifest=manifest)

@@ -37,13 +37,11 @@ from repro.obs.metrics import (
     NULL_METRICS,
     REGISTRY,
     Counter,
-    ForwardingMetricsRegistry,
     Gauge,
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
     as_metrics,
-    replay_metric_ops,
 )
 from repro.obs.profile import (
     ProfileNode,
@@ -84,11 +82,9 @@ __all__ = [
     "NULL_METRICS",
     "REGISTRY",
     "Counter",
-    "ForwardingMetricsRegistry",
     "Gauge",
     "Histogram",
     "as_metrics",
-    "replay_metric_ops",
     "ProfileNode",
     "build_span_tree",
     "aggregate_spans",

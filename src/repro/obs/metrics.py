@@ -13,6 +13,15 @@ series, not by traffic.  :class:`MetricsRegistry` provides exactly that:
   (``service.job.seconds``, ``solve.seconds``) with Prometheus-style
   cumulative ``le`` buckets.
 
+The registry is a sink for the schema-v1 event stream.  Emitters record
+spans and counters on a :class:`~repro.obs.recorder.Recorder` (or the
+trace-off :class:`~repro.obs.recorder.NullRecorder`), which hands each
+event to its registry's :meth:`MetricsRegistry.record`; the one table
+:data:`DERIVATIONS` says which counter, histogram or progress gauge an
+event feeds.  Each fact is therefore emitted once, and crosses a process
+boundary once, as an event.  The only direct writes left are scrape-time
+``set_function`` gauges, which read live state rather than record facts.
+
 Design constraints, mirroring the recorder's:
 
 1. **Bounded label cardinality.**  Each metric holds at most
@@ -38,13 +47,17 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
+    "DERIVATIONS",
     "OVERFLOW_LABEL",
     "Counter",
-    "ForwardingMetricsRegistry",
+    "Derivation",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -53,7 +66,6 @@ __all__ = [
     "REGISTRY",
     "as_metrics",
     "prometheus_name",
-    "replay_metric_ops",
 ]
 
 #: Default histogram buckets, in seconds.  Chosen for the serving layer's
@@ -121,17 +133,22 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        self._labelset = frozenset(self.labelnames)
         self._registry = registry
         self._lock = registry._lock
         self._series: Dict[_LabelKey, object] = {}
 
     def _key(self, labels: Mapping[str, object]) -> _LabelKey:
-        if set(labels) != set(self.labelnames):
+        if labels.keys() != self._labelset:
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labels))}"
             )
-        key = tuple(str(labels[name]) for name in self.labelnames)
+        return self._capped(
+            tuple([str(labels[name]) for name in self.labelnames])
+        )
+
+    def _capped(self, key: _LabelKey) -> _LabelKey:
         if key not in self._series and len(self._series) >= (
             self._registry.max_series_per_metric
         ):
@@ -144,8 +161,7 @@ class _Instrument:
     def _new_state(self) -> object:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _state(self, labels: Mapping[str, object]) -> object:
-        key = self._key(labels)
+    def _state(self, key: _LabelKey) -> object:
         state = self._series.get(key)
         if state is None:
             state = self._series[key] = self._new_state()
@@ -164,7 +180,11 @@ class Counter(_Instrument):
         if value < 0:
             raise ValueError(f"counters only go up; got {value!r}")
         with self._lock:
-            self._state(labels)[0] += value
+            self._apply(self._state(self._key(labels)), value)
+
+    @staticmethod
+    def _apply(state, value: float) -> None:
+        state[0] += value
 
     def value(self, **labels) -> float:
         with self._lock:
@@ -183,13 +203,16 @@ class Gauge(_Instrument):
 
     def set(self, value: float, **labels) -> None:
         with self._lock:
-            state = self._state(labels)
-            state[0] = float(value)
-            state[1] = None
+            self._apply(self._state(self._key(labels)), value)
+
+    @staticmethod
+    def _apply(state, value: float) -> None:
+        state[0] = float(value)
+        state[1] = None
 
     def inc(self, value: float = 1, **labels) -> None:
         with self._lock:
-            self._state(labels)[0] += value
+            self._state(self._key(labels))[0] += value
 
     def dec(self, value: float = 1, **labels) -> None:
         self.inc(-value, **labels)
@@ -202,7 +225,7 @@ class Gauge(_Instrument):
         can never go stale.  Exceptions from ``fn`` read as 0.
         """
         with self._lock:
-            self._state(labels)[1] = fn
+            self._state(self._key(labels))[1] = fn
 
     @staticmethod
     def _read(state: List[object]) -> float:
@@ -256,13 +279,14 @@ class Histogram(_Instrument):
         }
 
     def observe(self, value: float, **labels) -> None:
-        value = float(value)
         with self._lock:
-            state = self._state(labels)
-            index = bisect_left(self.buckets, value)
-            state["counts"][index] += 1  # type: ignore[index]
-            state["sum"] += value  # type: ignore[operator]
-            state["count"] += 1  # type: ignore[operator]
+            self._apply(self._state(self._key(labels)), value)
+
+    def _apply(self, state, value: float) -> None:
+        value = float(value)
+        state["counts"][bisect_left(self.buckets, value)] += 1
+        state["sum"] += value
+        state["count"] += 1
 
     def count(self, **labels) -> int:
         with self._lock:
@@ -309,6 +333,8 @@ class MetricsRegistry:
         self._lock = threading.RLock()
         self._metrics: Dict[str, _Instrument] = {}
         self._overflowed = 0
+        # Event name -> [(derivation, its instrument)], resolved once.
+        self._feeds: Dict[str, List[tuple]] = {}
 
     # ------------------------------------------------------------------
     # instrument registration
@@ -349,6 +375,28 @@ class MetricsRegistry:
         return self._register(
             Histogram, name, help, labelnames, buckets=buckets
         )
+
+    def record(self, event) -> None:
+        """Feed one event through :data:`DERIVATIONS`; an instrument is
+        registered (and so rendered) from its first event on."""
+        rows = DERIVATIONS.get(event.name)
+        if rows is None:
+            return
+        feeds = self._feeds.get(event.name)
+        if feeds is None:
+            feeds = self._feeds[event.name] = [
+                (row, getattr(self, row.kind)(row.metric, row.help, row.labels))
+                for row in rows
+            ]
+        for row, instrument in feeds:
+            value = row.value(event)
+            if value is None or (not value and row.kind == "counter"):
+                continue
+            key = tuple([str(event.attrs.get(n, "")) for n in row.labels])
+            with self._lock:
+                instrument._apply(
+                    instrument._state(instrument._capped(key)), value
+                )
 
     # ------------------------------------------------------------------
     # views
@@ -499,6 +547,9 @@ class NullMetricsRegistry(MetricsRegistry):
     ):  # noqa: A002
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
+    def record(self, event) -> None:
+        return None
+
     def render_prometheus(self) -> str:
         return ""
 
@@ -509,9 +560,9 @@ class NullMetricsRegistry(MetricsRegistry):
 #: Shared no-op registry, for callers that want metrics off entirely.
 NULL_METRICS = NullMetricsRegistry()
 
-#: The process-wide default registry.  ``construct_tree``, the scheduler
-#: and the serving layer all record here unless handed something else,
-#: which is what makes ``GET /metrics`` observe the whole stack.
+#: The process-wide default registry.  The default recorder (and any
+#: recorder built without ``metrics=``) feeds it, which is what makes
+#: ``GET /metrics`` observe the whole stack.
 REGISTRY = MetricsRegistry()
 
 
@@ -521,113 +572,80 @@ def as_metrics(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# cross-process forwarding
+# the derivation table: every counter, histogram and progress gauge is
+# computed from schema-v1 events
 # ----------------------------------------------------------------------
-class _ForwardingInstrument:
-    """Instrument proxy that logs every mutation as a replayable op.
+class Derivation(NamedTuple):
+    """One metric fed by an event: ``value`` reads the amount off the
+    event (``None`` skips it); labels are read from its attributes."""
 
-    Only *cumulative* mutations are logged (counter increments and
-    histogram observations) -- gauges are scrape-time callbacks that the
-    parent process computes itself, so forwarding them would double
-    report.
-    """
-
-    def __init__(self, owner, kind, inner, buckets=None) -> None:
-        self._owner = owner
-        self._kind = kind
-        self._inner = inner
-        self._buckets = list(buckets) if buckets is not None else None
-
-    def _log(self, op: str, value: float, labels: Mapping) -> None:
-        self._owner._log_op(
-            (
-                self._kind,
-                self._inner.name,
-                self._inner.help,
-                list(self._inner.labelnames),
-                self._buckets,
-                op,
-                float(value),
-                {k: str(v) for k, v in labels.items()},
-            )
-        )
-
-    def inc(self, value: float = 1, **labels) -> None:
-        self._inner.inc(value, **labels)
-        self._log("inc", value, labels)
-
-    def observe(self, value: float, **labels) -> None:
-        self._inner.observe(value, **labels)
-        self._log("observe", value, labels)
-
-    def __getattr__(self, attr):
-        # Reads (value/count/sum/...) and gauge writes pass straight
-        # through to the real instrument.
-        return getattr(self._inner, attr)
+    kind: str  # "counter", "histogram" or "gauge"
+    metric: str
+    help: str
+    labels: Tuple[str, ...] = ()
+    value: Callable[[object], Optional[float]] = attrgetter("value")
 
 
-class ForwardingMetricsRegistry(MetricsRegistry):
-    """A live registry that also logs mutations for cross-process replay.
-
-    A worker process installs one of these as its registry for a job's
-    duration; afterwards :meth:`drain_ops` returns a picklable op list
-    the parent feeds to :func:`replay_metric_ops` against *its* registry
-    -- so ``GET /metrics`` on the serving process sees engine-side
-    counters and histograms (e.g. ``solve.seconds``) recorded in worker
-    processes.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._ops: List[tuple] = []
-
-    def _log_op(self, op: tuple) -> None:
-        with self._lock:
-            self._ops.append(op)
-
-    def drain_ops(self) -> List[tuple]:
-        """The ops logged since the last drain (and forget them)."""
-        with self._lock:
-            ops, self._ops = self._ops, []
-            return ops
-
-    def counter(self, name, help="", labelnames=()):  # noqa: A002
-        return _ForwardingInstrument(
-            self, "counter", super().counter(name, help, labelnames)
-        )
-
-    def histogram(
-        self, name, help="", labelnames=(), buckets=DEFAULT_LATENCY_BUCKETS
-    ):  # noqa: A002
-        return _ForwardingInstrument(
-            self,
-            "histogram",
-            super().histogram(name, help, labelnames, buckets),
-            buckets=buckets,
-        )
-
-
-def replay_metric_ops(registry: MetricsRegistry, ops) -> int:
-    """Apply ops from a :class:`ForwardingMetricsRegistry` to ``registry``.
-
-    Instruments are created on demand with the same name/help/labels
-    (and buckets, for histograms) they had in the worker process, so the
-    parent's exposition is indistinguishable from having recorded the
-    events locally.  Returns the number of ops applied; malformed ops
-    raise ``ValueError`` (they indicate transport corruption).
-    """
-    applied = 0
-    for op in ops:
-        kind, name, help_, labelnames, buckets, action, value, labels = op
-        if kind == "counter" and action == "inc":
-            registry.counter(name, help_, tuple(labelnames)).inc(
-                value, **labels
-            )
-        elif kind == "histogram" and action == "observe":
-            registry.histogram(
-                name, help_, tuple(labelnames), buckets=tuple(buckets)
-            ).observe(value, **labels)
-        else:
-            raise ValueError(f"unknown metric op {kind!r}/{action!r}")
-        applied += 1
-    return applied
+#: Event name -> the metrics its events feed.  This is the only place a
+#: counter, histogram or progress gauge is written; emitters record
+#: events on their recorder, which hands each one to
+#: :meth:`MetricsRegistry.record`.
+DERIVATIONS: Dict[str, Tuple[Derivation, ...]] = {
+    "cache.hit": (Derivation(
+        "counter", "cache.hit", "Content-addressed result-cache hits."),),
+    "cache.miss": (Derivation(
+        "counter", "cache.miss", "Content-addressed result-cache misses."),),
+    "queue.rejected": (Derivation(
+        "counter", "queue.rejected",
+        "Submissions shed by queue admission control."),),
+    "queue.deduped": (Derivation(
+        "counter", "queue.deduped",
+        "Submissions merged into an in-flight job."),),
+    "worker.crashed": (Derivation(
+        "counter", "service.workers.crashed",
+        "Worker processes that died mid-job (slot respawned)."),),
+    "job.settled": (Derivation(
+        "counter", "service.jobs", "Jobs settled, by terminal state.",
+        ("state",)),),
+    "service.worker.error": (Derivation(
+        "counter", "service.worker.errors",
+        "Jobs settled by the worker loop's last-resort isolation "
+        "(an exception escaped normal job execution)."),),
+    "service.job": (Derivation(
+        "histogram", "service.job.seconds",
+        "End-to-end job execution latency, per method and cache outcome.",
+        ("method", "cache"), attrgetter("duration")),),
+    "solve": (Derivation(
+        "histogram", "solve.seconds",
+        "Engine latency of construct_tree, per method.",
+        ("method",), attrgetter("duration")),),
+    "ingest.stage": (Derivation(
+        "histogram", "ingest.stage.seconds",
+        "Ingestion stage latency, per stage.", ("stage",),
+        attrgetter("duration")),),
+    "ingest.run": (Derivation(
+        "counter", "ingest.runs", "Completed ingestion pipeline runs."),),
+    "ingest.failure": (Derivation(
+        "counter", "ingest.failures",
+        "Ingestion pipeline runs that failed QC."),),
+    "verify.oracle": (Derivation(
+        "counter", "verify.violations",
+        "Oracle violations found by result verification.",
+        ("oracle",), lambda event: event.attrs.get("violations")),),
+    # One span per settled case, so each one counts 1.
+    "campaign.case": (Derivation(
+        "counter", "campaign.cases",
+        "Campaign cases settled, by terminal state.",
+        ("state",), lambda event: 1),),
+    "bnb.progress": (
+        Derivation(
+            "gauge", "bnb.gap",
+            "Relative incumbent/lower-bound gap of the current "
+            "branch-and-bound search",
+            value=lambda event: event.attrs.get("gap")),
+        Derivation(
+            "gauge", "bnb.nodes_per_second",
+            "Node-expansion rate of the current branch-and-bound search",
+            value=lambda event: event.attrs.get("nodes_per_second")),
+    ),
+}

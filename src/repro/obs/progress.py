@@ -17,7 +17,7 @@ Design constraints, mirroring the recorder's:
 2. **Throttled when on.**  ``tick()`` fires a report only when the
    reporting interval has elapsed *or* the incumbent improved by more
    than ``min_delta`` -- the expensive work (the open-list lower-bound
-   scan, the event/gauge emission) happens only on firing reports.
+   scan, the event emission) happens only on firing reports.
 3. **Deterministic when tested.**  The clock is injectable, so the
    gating behaviour is reproducible in tests.
 
@@ -25,10 +25,10 @@ Snapshots ride the existing schema-v1 trace stream as ``bnb.progress``
 *counter* events (value 1, snapshot in ``attrs``) -- so they flow through
 the :class:`~repro.obs.streaming.StreamingRecorder`, cross-process
 ``ingest``, and trace-id filtering with zero reader changes, and
-``counter_totals["bnb.progress"]`` is simply the heartbeat count.  Firing
-reports also update the ``bnb.gap`` / ``bnb.nodes_per_second`` gauges and
-invoke an optional ``sink`` callback (how worker processes stream
-snapshots to the parent mid-``call()``).
+``counter_totals["bnb.progress"]`` is simply the heartbeat count; the
+``bnb.gap`` / ``bnb.nodes_per_second`` gauges derive from the same
+events.  Firing reports also invoke an optional ``sink`` callback (how
+worker processes stream snapshots to the parent mid-``call()``).
 
 The tracker reaches the solver ambiently through
 :func:`progress_context`, mirroring ``trace_context``, so
@@ -131,11 +131,10 @@ class ProgressTracker:
         An incumbent improvement larger than this fires a report
         immediately, regardless of the interval.
     recorder:
-        Optional :class:`~repro.obs.recorder.Recorder`; firing reports
-        emit ``bnb.progress`` counter events (value 1, snapshot attrs).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; firing
-        reports set the ``bnb.gap`` and ``bnb.nodes_per_second`` gauges.
+        Optional recorder; firing reports emit ``bnb.progress`` counter
+        events (value 1, snapshot attrs).  Its metrics registry derives
+        the ``bnb.gap`` and ``bnb.nodes_per_second`` gauges from them,
+        trace on or off.
     sink:
         Optional callable receiving each snapshot dict (the worker
         process's bridge to the parent; the CLI's stderr printer).
@@ -151,8 +150,6 @@ class ProgressTracker:
         "clock",
         "latest",
         "reports",
-        "_gap_gauge",
-        "_nps_gauge",
         "_t0",
         "_next_report",
         "_last_incumbent",
@@ -165,7 +162,6 @@ class ProgressTracker:
         interval_seconds: float = 0.25,
         min_delta: float = 0.0,
         recorder=None,
-        metrics=None,
         sink: Optional[Callable[[Dict[str, object]], None]] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
@@ -178,19 +174,6 @@ class ProgressTracker:
         self.clock = clock
         self.latest: Optional[Dict[str, object]] = None
         self.reports = 0
-        if metrics is not None and getattr(metrics, "enabled", False):
-            self._gap_gauge = metrics.gauge(
-                "bnb.gap",
-                "Relative incumbent/lower-bound gap of the current "
-                "branch-and-bound search",
-            )
-            self._nps_gauge = metrics.gauge(
-                "bnb.nodes_per_second",
-                "Node-expansion rate of the current branch-and-bound search",
-            )
-        else:
-            self._gap_gauge = None
-            self._nps_gauge = None
         self._t0: Optional[float] = None
         self._next_report = -math.inf
         self._last_incumbent = math.inf
@@ -279,13 +262,7 @@ class ProgressTracker:
         }
         self.latest = snapshot
         self.reports += 1
-        if self.recorder is not None and getattr(
-            self.recorder, "enabled", False
-        ):
+        if self.recorder is not None:
             self.recorder.counter("bnb.progress", 1, **snapshot)
-        if self._gap_gauge is not None and snapshot["gap"] is not None:
-            self._gap_gauge.set(snapshot["gap"])
-        if self._nps_gauge is not None:
-            self._nps_gauge.set(nps)
         if self.sink is not None:
             self.sink(snapshot)

@@ -4,8 +4,9 @@ Design constraints, in order:
 
 1. **Zero-cost when off.**  Every engine defaults to the shared
    :data:`NULL_RECORDER`, whose ``span``/``counter``/``add_span`` are
-   allocation-free no-ops, so the branch-and-bound hot loops and the
-   UPGMM vectorised path stay exactly as fast as before.
+   allocation-free no-ops for every event name the metrics table does
+   not read, so the branch-and-bound hot loops and the UPGMM vectorised
+   path stay exactly as fast as before.
 2. **Deterministic when tested.**  The clock is injectable
    (``Recorder(clock=fake)``), so span timestamps -- and therefore the
    JSON-lines output -- are reproducible byte for byte in tests.
@@ -36,6 +37,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
+
+from repro.obs.metrics import DERIVATIONS, MetricsRegistry, as_metrics
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -198,13 +201,45 @@ class Span:
         return self.end - self.start
 
 
+def _decode(
+    record: Dict[str, object],
+    offset: float,
+    span_id: Optional[int] = None,
+    link: Optional[int] = None,
+) -> Optional[Event]:
+    """A ``to_json()``-shaped record as an event, its timestamps shifted
+    by ``offset``; ``link`` is a span's parent or a counter's span.
+    ``None`` for other kinds (``meta``)."""
+    kind = record.get("event")
+    attrs = dict(record.get("attrs", {}))
+    if kind == "span":
+        return SpanEvent(
+            span_id, link, record["name"], record["start"] + offset,
+            record["end"] + offset, attrs,
+        )
+    if kind == "counter":
+        return CounterEvent(
+            record["name"], record["value"], record["time"] + offset,
+            link, attrs,
+        )
+    return None
+
+
+class _DiscardAttrs(dict):
+    """The shared null span's attrs: writes are dropped, so an emitter can
+    set a span attribute unconditionally without polluting shared state."""
+
+    def __setitem__(self, key, value) -> None:
+        return None
+
+
 class _NullContext:
     """Reusable no-op context manager yielding the shared null span."""
 
     __slots__ = ("_span",)
 
     def __init__(self) -> None:
-        self._span = Span(None, None, "", None, {})
+        self._span = Span(None, None, "", None, _DiscardAttrs())
 
     def __enter__(self) -> Span:
         return self._span
@@ -213,34 +248,74 @@ class _NullContext:
         return False
 
 
-class NullRecorder:
-    """Recorder that records nothing (the engines' default).
+class _MetricSpan(Span):
+    """A trace-off span: timed like a traced one, and handed to the
+    recorder's registry as an event when its ``with`` block exits."""
 
-    It still carries a ``clock`` so callers can time work consistently
+    __slots__ = ("_recorder",)
+
+    def __init__(self, recorder: "NullRecorder", name: str, attrs) -> None:
+        super().__init__(None, None, name, recorder.clock(), attrs)
+        self._recorder = recorder
+
+    def __enter__(self) -> Span:
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        self.end = self._recorder.clock()
+        self._recorder.metrics.record(SpanEvent(
+            None, None, self.name, self.start, self.end, self.attrs
+        ))
+        return False
+
+
+class NullRecorder:
+    """Recorder that keeps no trace (the engines' default).
+
+    It still builds the events the metrics table
+    (:data:`~repro.obs.metrics.DERIVATIONS`) reads and hands them to its
+    registry (``metrics``, default the process-wide ``REGISTRY``); any
+    other name costs one dict lookup and allocates nothing.
+
+    It also carries a ``clock`` so callers can time work consistently
     through an injected clock even when nothing is recorded (the batch
     runner relies on this).
     """
 
     enabled = False
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] = time.perf_counter,
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
         self.clock = clock
         self._null_context = _NullContext()
+        self.metrics = as_metrics(metrics)  # what every event feeds
 
     @property
     def events(self) -> List[Event]:
         return []
 
-    def span(self, name: str, **attrs) -> _NullContext:
+    # Each method checks the name first (one dict lookup); a disabled
+    # registry (``NULL_METRICS``) makes every call a no-op.
+    def span(self, name: str, **attrs):
+        if name in DERIVATIONS and self.metrics.enabled:
+            return _MetricSpan(self, name, attrs)
         return self._null_context
 
     def add_span(
         self, name: str, start: float, end: float, **attrs
     ) -> None:
-        return None
+        if name in DERIVATIONS and self.metrics.enabled:
+            self.metrics.record(SpanEvent(None, None, name, start, end, attrs))
 
     def counter(self, name: str, value: float = 1, **attrs) -> None:
-        return None
+        if name in DERIVATIONS and self.metrics.enabled:
+            self.metrics.record(
+                CounterEvent(name, value, self.clock(), None, attrs)
+            )
 
     def spans(self, name: Optional[str] = None) -> List[SpanEvent]:
         return []
@@ -252,10 +327,20 @@ class NullRecorder:
         return 0.0
 
     def ingest(self, events, *, offset: float = 0.0) -> int:
-        return 0
+        """Feed the registry the derived events among serialized ones
+        (see :meth:`Recorder.ingest`); returns how many there were."""
+        ingested = 0
+        for record in events:
+            if record.get("name") in DERIVATIONS and self.metrics.enabled:
+                event = _decode(record, offset)
+                if event is not None:
+                    self.metrics.record(event)
+                    ingested += 1
+        return ingested
 
 
 #: Shared default instance; engines use it when no recorder is supplied.
+#: It feeds the process-wide registry.
 NULL_RECORDER = NullRecorder()
 
 
@@ -273,8 +358,13 @@ class Recorder(NullRecorder):
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        super().__init__(clock)
+    def __init__(
+        self,
+        clock: Callable[[], float] = time.perf_counter,
+        *,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(clock, metrics=metrics)
         self._events: List[Event] = []
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -302,8 +392,13 @@ class Recorder(NullRecorder):
             return list(self._events)
 
     def _record(self, event: Event) -> None:
-        """Land one closed event.  Every recording path funnels through
-        here, so sinks (the streaming recorder) override a single spot."""
+        """Land one closed event and feed it to the registry.  Every
+        recording path funnels through here."""
+        self._store(event)
+        self.metrics.record(event)
+
+    def _store(self, event: Event) -> None:
+        """Keep one event (the streaming recorder overrides this)."""
         with self._lock:
             self._events.append(event)
 
@@ -388,27 +483,16 @@ class Recorder(NullRecorder):
 
         ingested = 0
         for record in events:
-            kind = record.get("event")
-            if kind == "span":
-                self._record(SpanEvent(
-                    id=id_map[record["id"]],
-                    parent=remap(record.get("parent")),
-                    name=record["name"],
-                    start=record["start"] + offset,
-                    end=record["end"] + offset,
-                    attrs=dict(record.get("attrs", {})),
-                ))
-            elif kind == "counter":
-                self._record(CounterEvent(
-                    name=record["name"],
-                    value=record["value"],
-                    time=record["time"] + offset,
-                    span=remap(record.get("span")),
-                    attrs=dict(record.get("attrs", {})),
-                ))
+            if record.get("event") == "span":
+                event = _decode(
+                    record, offset, id_map[record["id"]],
+                    remap(record.get("parent")),
+                )
             else:
-                continue
-            ingested += 1
+                event = _decode(record, offset, link=remap(record.get("span")))
+            if event is not None:
+                self._record(event)
+                ingested += 1
         return ingested
 
     # ------------------------------------------------------------------
@@ -545,25 +629,10 @@ def read_jsonl(
             seen_meta = True
         elif kind == "span":
             events.append(
-                SpanEvent(
-                    id=record["id"],
-                    parent=record.get("parent"),
-                    name=record["name"],
-                    start=record["start"],
-                    end=record["end"],
-                    attrs=record.get("attrs", {}),
-                )
+                _decode(record, 0.0, record["id"], record.get("parent"))
             )
         elif kind == "counter":
-            events.append(
-                CounterEvent(
-                    name=record["name"],
-                    value=record["value"],
-                    time=record["time"],
-                    span=record.get("span"),
-                    attrs=record.get("attrs", {}),
-                )
-            )
+            events.append(_decode(record, 0.0, link=record.get("span")))
         else:
             raise ValueError(
                 f"line {line_no}: unknown event kind {kind!r}"

@@ -24,7 +24,7 @@ Single-writer by design: one recorder owns its sink file.  The event
 *order* in the file is the lock-serialised close order, identical to the
 base recorder's in-memory order.
 
-Because every recording path funnels through ``_record``, live solver
+Because every recording path funnels through ``_store``, live solver
 telemetry -- the ``bnb.progress`` snapshot counters a
 :class:`~repro.obs.progress.ProgressTracker` emits mid-solve -- streams
 to the sink the moment each heartbeat fires, not when the solve ends:
@@ -114,7 +114,7 @@ class StreamingRecorder(Recorder):
         self.rotations += 1
         self._write_meta_locked()
 
-    def _record(self, event: Event) -> None:
+    def _store(self, event: Event) -> None:
         line = json.dumps(event.to_json(), sort_keys=True)
         with self._lock:
             self._events.append(event)

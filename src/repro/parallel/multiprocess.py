@@ -61,6 +61,10 @@ __all__ = ["MultiprocessResult", "multiprocess_mut"]
 #: papers use 2).
 _PREBRANCH_FACTOR = 2
 
+#: Seconds between the master's progress ticks while it waits for the
+#: other workers.
+_JOIN_POLL_SECONDS = 0.005
+
 
 @dataclass
 class MultiprocessResult:
@@ -108,13 +112,17 @@ class _Worker:
         self.best: Optional[PartialTopology] = None
         self.error: Optional[Exception] = None
         self.start = self.end = 0.0
+        self.done = False
+        self.search = None  # set while the caller's thread reads it live
 
-    def run(self, core: SearchCore, board: _Board, clock) -> None:
+    def run(
+        self, core: SearchCore, board: _Board, clock, between=None
+    ) -> None:
         self.start = clock()
         try:
             with core.depth_first(
                 self.nodes, board.upper_bound, self.stats,
-                between=board.poll, improved=board.publish,
+                between=between or board.poll, improved=board.publish,
             ) as search:
                 # Only this worker's own improvements count as its result.
                 if self.stats.ub_updates:
@@ -123,6 +131,51 @@ class _Worker:
             board.stop = True
             self.error = exc
         self.end = clock()
+        self.done = True
+
+
+class _Searching:
+    """The search as the progress tracker reads it, as both the stats and
+    the open nodes.  A worker's search is read live while it runs on the
+    caller's thread (worker 0, where the tracker ticks); another share
+    counts with its starting nodes until its worker is done, since no
+    node below them bounds lower than they do."""
+
+    def __init__(self, master: SearchStats, workers: List[_Worker]):
+        self.master = master
+        self.workers = workers
+
+    def _parts(self):
+        for worker in self.workers:
+            if worker.search is not None:
+                yield worker.search
+            elif not worker.done:
+                yield worker.nodes
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self._parts())
+
+    def min_lower_bound(self) -> float:
+        # A share's starting nodes are sorted by falling bound.
+        return min(
+            part[-1].lower_bound if isinstance(part, list)
+            else part.min_lower_bound()
+            for part in self._parts() if len(part)
+        )
+
+    def _total(self, name: str) -> int:
+        return getattr(self.master, name) + sum(
+            getattr(w.stats if w.search is None else w.search.stats, name)
+            for w in self.workers
+        )
+
+    @property
+    def nodes_expanded(self) -> int:
+        return self._total("nodes_expanded")
+
+    @property
+    def nodes_created(self) -> int:
+        return self.nodes_expanded + self._total("nodes_pruned") + len(self)
 
 
 def multiprocess_mut(
@@ -198,31 +251,30 @@ def _multiprocess_impl(
     expanded = master.stats.nodes_expanded
     pruned = master.stats.nodes_pruned
 
-    # The parallel master reports progress after pre-branching (the
-    # frontier's bounds are the global lower bound) and once the workers
-    # are done.
-    tracker = current_progress()
-
-    def report(incumbent: float, open_nodes=(), final: bool = False) -> None:
-        if tracker is not None:
-            stats = SearchStats(
-                nodes_expanded=expanded,
-                nodes_created=expanded + pruned + len(open_nodes),
-            )
-            (tracker.final if final else tracker.tick)(
-                incumbent, stats, open_nodes
-            )
-
-    if not frontier:
-        report(master.upper_bound, final=True)
-        return _result(core, master, expanded, pruned, n_workers)
-    report(master.upper_bound, frontier)
-
     workers = [
         _Worker(worker_id, frontier[worker_id::n_workers])
         for worker_id in range(min(n_workers, len(frontier)))
     ]
+    # The parallel master reports progress after pre-branching (the
+    # frontier's bounds are the global lower bound), while the workers
+    # search, and once they are done.
+    tracker = current_progress()
+    searching = _Searching(master.stats, workers)
+    if not frontier:
+        if tracker is not None:
+            tracker.final(master.upper_bound, searching, searching)
+        return _result(core, master, expanded, pruned, n_workers)
     board = _Board(master.upper_bound)
+    between = None
+    if tracker is not None:
+        tracker.tick(master.upper_bound, searching, searching)
+
+        def between(search) -> bool:
+            workers[0].search = search
+            go_on = board.poll(search)
+            tracker.tick(search.upper_bound, searching, searching)
+            return go_on
+
     threads: List[threading.Thread] = []
     try:
         for worker in workers[1:]:
@@ -232,7 +284,14 @@ def _multiprocess_impl(
             )
             thread.start()
             threads.append(thread)
-        workers[0].run(core, board, rec.clock)
+        try:
+            workers[0].run(core, board, rec.clock, between)
+        finally:
+            workers[0].search = None  # closed with its ``with`` block
+        for thread in threads if tracker is not None else ():
+            while thread.is_alive():
+                thread.join(_JOIN_POLL_SECONDS)
+                tracker.tick(board.upper_bound, searching, searching)
     except BaseException:
         board.stop = True
         raise
@@ -272,7 +331,8 @@ def _multiprocess_impl(
                     f"its tree realises {realised!r}"
                 )
 
-    report(master.upper_bound, final=True)
+    if tracker is not None:
+        tracker.final(master.upper_bound, searching, searching)
     return _result(core, master, expanded, pruned, n_workers)
 
 

@@ -31,9 +31,10 @@ Execution is pluggable (``backend=``):
     manipulation that holds the GIL -- scale across cores.  The child
     re-materialises the matrix from plain floats (bit-exact transport),
     runs the same runner, and ships back the payload *plus* its
-    span/counter events and metric mutations; the parent re-bases the
-    events into its own trace (:meth:`repro.obs.Recorder.ingest`) and
-    replays the metrics (:func:`repro.obs.metrics.replay_metric_ops`),
+    span/counter events -- the whole trace when the parent traces, else
+    only the events the metrics table reads.  The parent re-bases them
+    into its own recorder (:meth:`repro.obs.Recorder.ingest`), whose
+    registry derives the metrics from them exactly as for local events,
     so ``/metrics`` and JSONL traces are as complete as with threads.
     The payload's reported cost is re-verified against its Newick
     reconstruction to 1e-9 on receipt.  A worker process that dies
@@ -53,23 +54,12 @@ from __future__ import annotations
 import functools
 import queue as _queue
 import threading
-import time
 from typing import Callable, Dict, List, Optional
 
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.obs.metrics import (
-    ForwardingMetricsRegistry,
-    MetricsRegistry,
-    as_metrics,
-    replay_metric_ops,
-)
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.progress import ProgressTracker, progress_context
-from repro.obs.recorder import (
-    NullRecorder,
-    Recorder,
-    as_recorder,
-    trace_context,
-)
+from repro.obs.recorder import NullRecorder, Recorder, trace_context
 from repro.parallel.executor import (
     RemoteTaskError,
     WorkerCrashed,
@@ -162,39 +152,45 @@ def solve_payload(
     }
 
 
+class _Shipped(list):
+    """The worker process's registry when the parent keeps no trace: it
+    keeps the events the metrics table reads (for a cold solve, the one
+    ``solve`` span) for the parent to derive its metrics from."""
+
+    enabled = True
+    record = list.append
+
+
 def _process_job_task(runner: Callable, task: tuple) -> dict:
     """Execute one job inside a worker process (the slot-side runner).
 
     ``task`` is the picklable tuple the parent ships: plain-float matrix
     rows and labels (floats survive pickling bit-exactly, so the child's
     cache key and costs match the parent's), the method/options, the
-    originating request's ``trace_id``, and whether to collect events.
+    originating request's ``trace_id``, and whether the parent traces.
 
-    The child runs ``runner`` under a fresh :class:`Recorder` and a
-    :class:`ForwardingMetricsRegistry` temporarily installed as the
-    process-wide default registry, then returns everything the parent
-    needs to make its own exports complete: the payload, the serialized
-    events, the child-clock origin (for re-basing timestamps) and the
-    metric ops.
+    The child runs ``runner`` under a fresh :class:`Recorder` when the
+    parent traces, else under a recorder that keeps just the events the
+    metrics table reads.  Neither feeds a registry here: the parent
+    ingests the returned events through the same funnel as its own.  It
+    returns the payload, the serialized events and the child-clock
+    origin (for re-basing timestamps).
 
     A :class:`~repro.obs.progress.ProgressTracker` is bound around the
     runner whose sink ships each snapshot through
     :func:`~repro.parallel.executor.emit_slot_progress` -- live
     telemetry that reaches the parent's ``call()`` *while the solve
     runs*, each message carrying the child clock reading and origin so
-    the parent can re-base it.  The tracker also records ``bnb.progress``
-    events on the child recorder; those travel once, with the final
-    payload, via the normal event forwarding.
+    the parent can re-base it.  The parent records each snapshot once,
+    as a ``bnb.progress`` event; the child records no copy.
     """
-    from repro.obs import metrics as _metrics_mod
-
-    values, labels, method, options, trace_id, collect_events = task
+    values, labels, method, options, trace_id, traced = task
     matrix = DistanceMatrix(values, labels)
-    rec = Recorder() if collect_events else as_recorder(None)
+    rec = (
+        Recorder(metrics=NULL_METRICS) if traced
+        else NullRecorder(metrics=_Shipped())
+    )
     clock0 = rec.clock()
-    forward = ForwardingMetricsRegistry()
-    previous_registry = _metrics_mod.REGISTRY
-    _metrics_mod.REGISTRY = forward
 
     def _ship(snapshot: dict, _clock=rec.clock) -> None:
         emit_slot_progress({
@@ -204,24 +200,15 @@ def _process_job_task(runner: Callable, task: tuple) -> dict:
             "trace_id": trace_id,
         })
 
-    tracker = ProgressTracker(
-        recorder=rec if collect_events else None, sink=_ship
-    )
-    try:
-        with trace_context(trace_id), progress_context(tracker):
-            payload = runner(
-                matrix, method, options, rec if collect_events else None
-            )
-    finally:
-        _metrics_mod.REGISTRY = previous_registry
+    tracker = ProgressTracker(sink=_ship)
+    with trace_context(trace_id), progress_context(tracker):
+        payload = runner(matrix, method, options, rec)
     return {
         "payload": payload,
-        "events": (
-            [event.to_json() for event in rec.events]
-            if collect_events else []
-        ),
+        "events": [
+            event.to_json() for event in (rec.events if traced else rec.metrics)
+        ],
         "clock0": clock0,
-        "metric_ops": forward.drain_ops(),
         "trace_id": trace_id,
     }
 
@@ -241,14 +228,15 @@ class Scheduler:
         is created when omitted.
     recorder:
         Shared :class:`repro.obs.Recorder` for spans and counters
-        (defaults to the no-op recorder).
+        (defaults to a trace-off :class:`~repro.obs.NullRecorder`).
     metrics:
         :class:`repro.obs.metrics.MetricsRegistry` for the always-on
-        aggregates -- ``service.job.seconds`` latency histogram,
-        ``service.queue.depth`` / ``service.inflight`` gauges (computed
-        at scrape time), cache and queue counters.  Defaults to the
-        process-wide registry, so metrics are live even when tracing is
-        off; pass :data:`repro.obs.metrics.NULL_METRICS` to disable.
+        aggregates; the recorder is pointed at it, so it derives them
+        from the scheduler's events, and the scheduler adds its
+        scrape-time queue and worker gauges.  Defaults to the recorder's
+        registry (the process-wide one unless the recorder was given
+        another), so metrics are live even when tracing is off; pass
+        :data:`repro.obs.metrics.NULL_METRICS` to disable.
     default_timeout:
         Deadline in seconds applied to jobs submitted without their own
         ``timeout``.  ``None`` means no deadline.
@@ -296,8 +284,10 @@ class Scheduler:
             )
         self.backend = backend
         self.cache = cache if cache is not None else ResultCache()
-        self.recorder = as_recorder(recorder)
-        self.metrics = as_metrics(metrics)
+        self.recorder = recorder if recorder is not None else NullRecorder()
+        if metrics is not None:
+            self.recorder.metrics = metrics
+        self.metrics = self.recorder.metrics
         self.default_timeout = default_timeout
         self.queue_size = queue_size
         self._runner = runner or solve_payload
@@ -320,48 +310,6 @@ class Scheduler:
             "deduped": 0,
         }
         m = self.metrics
-        self._m_job_seconds = m.histogram(
-            "service.job.seconds",
-            "End-to-end job execution latency, per method and cache outcome.",
-            labelnames=("method", "cache"),
-        )
-        self._m_cache_hit = m.counter(
-            "cache.hit", "Content-addressed result-cache hits."
-        )
-        self._m_cache_miss = m.counter(
-            "cache.miss", "Content-addressed result-cache misses."
-        )
-        self._m_rejected = m.counter(
-            "queue.rejected", "Submissions shed by queue admission control."
-        )
-        self._m_deduped = m.counter(
-            "queue.deduped", "Submissions merged into an in-flight job."
-        )
-        self._m_jobs = m.counter(
-            "service.jobs", "Jobs settled, by terminal state.",
-            labelnames=("state",),
-        )
-        self._m_worker_errors = m.counter(
-            "service.worker.errors",
-            "Jobs settled by the worker loop's last-resort isolation "
-            "(an exception escaped normal job execution).",
-        )
-        self._m_crashes = m.counter(
-            "service.workers.crashed",
-            "Worker processes that died mid-job (slot respawned).",
-        )
-        # Progress gauges are set from forwarded worker snapshots (the
-        # forwarding registry deliberately does not forward gauges) and,
-        # on the thread backend, by the job's own ProgressTracker.
-        self._m_bnb_gap = m.gauge(
-            "bnb.gap",
-            "Relative incumbent/lower-bound gap of the current "
-            "branch-and-bound search",
-        )
-        self._m_bnb_nps = m.gauge(
-            "bnb.nodes_per_second",
-            "Node-expansion rate of the current branch-and-bound search",
-        )
         # Scrape-time gauges can never go stale; the last-constructed
         # scheduler on a shared registry owns them, which matches the
         # one-scheduler-per-process serving reality.
@@ -458,7 +406,6 @@ class Scheduler:
             if existing is not None and not existing.done:
                 self._stats["deduped"] += 1
                 self.recorder.counter("queue.deduped", key=key[:12])
-                self._m_deduped.inc()
                 return existing
             job = Job(
                 f"job-{self._next_job}", key, matrix, method, options,
@@ -470,7 +417,6 @@ class Scheduler:
             except _queue.Full:
                 self._stats["rejected"] += 1
                 self.recorder.counter("queue.rejected", key=key[:12])
-                self._m_rejected.inc()
                 raise QueueFull(self.queue_size) from None
             self._stats["submitted"] += 1
             self._jobs[job.id] = job
@@ -518,7 +464,10 @@ class Scheduler:
         """Settle a job whose execution path itself blew up (satellite
         of the crash sweep: e.g. a recorder raising inside span exit,
         *after* ``_execute``'s own error handling already passed)."""
-        self._m_worker_errors.inc()
+        try:
+            self.recorder.counter("service.worker.error")
+        except Exception:  # noqa: BLE001 - a broken sink must not block
+            pass  # the settle below
         try:
             job._finish(
                 JobState.FAILED,
@@ -551,8 +500,6 @@ class Scheduler:
             # while queued; reconcile statistics for whichever it was.
             self._settle(job, _STATE_STAT.get(job.state, "cancelled"))
             return
-        cache_status = "error"
-        t0 = time.perf_counter()
         try:
             with trace_context(job.trace_id), rec.span(
                 "service.job",
@@ -561,22 +508,20 @@ class Scheduler:
                 n=job.matrix.n,
                 key=job.key[:12],
                 backend=self.backend,
-            ):
+                cache="error",
+            ) as span:
                 payload = self.cache.get(job.key)
                 if payload is not None:
                     cache_status = "hit"
                     rec.counter("cache.hit", key=job.key[:12])
-                    self._m_cache_hit.inc()
                 else:
                     cache_status = "miss"
                     rec.counter("cache.miss", key=job.key[:12])
-                    self._m_cache_miss.inc()
                     if slot is not None:
                         payload = self._run_in_slot(slot, job, rec)
                     else:
                         tracker = ProgressTracker(
                             recorder=rec,
-                            metrics=self.metrics,
                             sink=functools.partial(
                                 self._publish_progress, job
                             ),
@@ -588,9 +533,11 @@ class Scheduler:
                     self.cache.put(job.key, payload)
                 if job.verify:
                     job.verification = self._verify_payload(job, payload)
+                # The ``service.job.seconds`` label; a job that raised
+                # above keeps "error".
+                span.attrs["cache"] = cache_status
         except WorkerTimeout as exc:
             rec.counter("job.timeout", job=job.id)
-            self._observe_job(job, "error", t0)
             job._finish(
                 JobState.TIMEOUT,
                 error=(
@@ -602,7 +549,6 @@ class Scheduler:
             return
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             rec.counter("job.failed", job=job.id)
-            self._observe_job(job, "error", t0)
             if isinstance(exc, RemoteTaskError):
                 # The child already formatted its traceback; surface the
                 # original exception type and message, not the wrapper's
@@ -613,7 +559,6 @@ class Scheduler:
             job._finish(JobState.FAILED, error=error)
             self._settle(job, "failed")
             return
-        self._observe_job(job, cache_status, t0)
         if job._expired():
             # The result is cached for future callers, but this caller's
             # deadline has passed; report the timeout honestly.
@@ -634,8 +579,8 @@ class Scheduler:
 
         Raises :class:`WorkerCrashed` / :class:`WorkerTimeout` /
         :class:`RemoteTaskError` (the caller maps them onto job states);
-        on success the child's events are re-based into the parent trace
-        and its metric mutations replayed into the parent registry.
+        on success the child's events are re-based into the parent's
+        recorder, which derives the metrics from them.
         """
         task = (
             job.matrix.values.tolist(),
@@ -655,15 +600,11 @@ class Scheduler:
             )
         except WorkerCrashed:
             rec.counter("worker.crashed", worker=slot.worker_id)
-            self._m_crashes.inc()
             raise
-        if rec.enabled and out["events"]:
-            # perf_counter origins differ between processes; anchor the
-            # child's clock origin at our dispatch time (the earliest
-            # parent-side instant the child could have started).
-            rec.ingest(out["events"], offset=t_dispatch - out["clock0"])
-        if out["metric_ops"]:
-            replay_metric_ops(self.metrics, out["metric_ops"])
+        # perf_counter origins differ between processes; anchor the
+        # child's clock origin at our dispatch time (the earliest
+        # parent-side instant the child could have started).
+        rec.ingest(out["events"], offset=t_dispatch - out["clock0"])
         payload = out["payload"]
         self._verify_receipt(job, payload)
         return payload
@@ -682,28 +623,22 @@ class Scheduler:
         """Process-backend progress sink: a worker snapshot arriving
         mid-``call()``.  The child's clock reading is re-based onto this
         process's clock (dispatch time anchors the child's origin, the
-        same offset model event ingestion uses), the job's trace id is
-        stamped, and the parent-side gauges updated -- the forwarding
-        registry never forwards gauges, so this is where ``bnb.gap``
-        goes live during a process-backend solve."""
+        same offset model event ingestion uses) and the job's trace id
+        is stamped.  The snapshot becomes the job's progress and one
+        ``bnb.progress`` event, which feeds the progress gauges."""
         snapshot = message.get("snapshot")
         if not isinstance(snapshot, dict):
             return
-        snap = dict(snapshot)
-        child_time = message.get("time")
-        child_clock0 = message.get("clock0")
-        if child_time is not None and child_clock0 is not None:
-            snap["time"] = t_dispatch + (child_time - child_clock0)
+        attrs = dict(snapshot)
         trace_id = message.get("trace_id") or job.trace_id
         if trace_id is not None:
-            snap["trace_id"] = trace_id
-        job.progress = snap
-        gap = snap.get("gap")
-        if gap is not None:
-            self._m_bnb_gap.set(gap)
-        nps = snap.get("nodes_per_second")
-        if nps is not None:
-            self._m_bnb_nps.set(nps)
+            attrs["trace_id"] = trace_id
+        offset = t_dispatch - message["clock0"]
+        job.progress = dict(attrs, time=message["time"] + offset)
+        self.recorder.ingest([{
+            "event": "counter", "name": "bnb.progress", "value": 1,
+            "time": message["time"], "span": None, "attrs": attrs,
+        }], offset=offset)
 
     def _verify_receipt(self, job: Job, payload: dict) -> None:
         """Prove a process-transported payload before accepting it.
@@ -738,7 +673,7 @@ class Scheduler:
         deliberately: the oracles then cover exactly what a client
         receives, including cache corruption and serialization drift.
         Each oracle runs inside a ``verify.oracle`` span on the shared
-        recorder and every violation bumps the
+        recorder, from which its registry derives the
         ``verify.violations{oracle}`` metric.  Verification never fails
         the job; the findings ride along in the job record.
         """
@@ -757,18 +692,12 @@ class Scheduler:
             reported_cost=payload.get("cost"),
             method=job.method,
             recorder=self.recorder,
-            metrics=self.metrics,
         )
         return {
             "ok": not violations,
             "oracles": list(ORACLE_NAMES),
             "violations": [v.to_json() for v in violations],
         }
-
-    def _observe_job(self, job: Job, cache_status: str, t0: float) -> None:
-        self._m_job_seconds.observe(
-            time.perf_counter() - t0, method=job.method, cache=cache_status
-        )
 
     def _settle(self, job: Job, stat: str) -> None:
         """Post-terminal bookkeeping: statistics, dedup map, retention.
@@ -788,7 +717,7 @@ class Scheduler:
             while len(self._finished_order) > self._max_jobs_retained:
                 stale = self._finished_order.pop(0)
                 self._jobs.pop(stale, None)
-        self._m_jobs.inc(state=stat)
+        self.recorder.counter("job.settled", state=stat)
 
     # ------------------------------------------------------------------
     # introspection and shutdown

@@ -450,7 +450,6 @@ class _Handler(BaseHTTPRequestHandler):
                     mode=mode,
                     qc=qc,
                     recorder=service.scheduler.recorder,
-                    metrics=service.scheduler.metrics,
                     submit=submit,
                 )
         except ValueError as exc:  # e.g. unknown distance method
@@ -587,7 +586,7 @@ def serve(
     threads otherwise.  ``start_method`` forces a multiprocessing start
     method for the process backend.
 
-    Metrics are always on: the scheduler records into the process-wide
+    Metrics are always on: the scheduler's events feed the process-wide
     registry, served at ``GET /metrics`` (Prometheus text) and inside
     ``GET /stats`` (JSON) whether or not tracing is enabled.
 

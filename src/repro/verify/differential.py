@@ -165,14 +165,13 @@ def run_differential(
     build_fn: Optional[Callable] = None,
     oracles: Optional[Sequence[Oracle]] = None,
     recorder=None,
-    metrics=None,
 ) -> DifferentialReport:
     """Cross-check ``methods`` against each other on one matrix.
 
     ``build_fn`` defaults to :func:`repro.core.api.construct_tree`;
     tests inject corrupted builders here to prove the harness catches
-    them.  ``recorder``/``metrics`` are forwarded to the oracle layer
-    (``verify.oracle`` spans, ``verify.violations`` counters).
+    them.  ``recorder`` is forwarded to the oracle layer
+    (``verify.oracle`` spans, and through them ``verify.violations``).
     """
     from repro.core.api import METHODS, construct_tree
 
@@ -211,7 +210,6 @@ def run_differential(
                     method=method,
                     oracles=oracles,
                     recorder=recorder,
-                    metrics=metrics,
                 )
             )
 

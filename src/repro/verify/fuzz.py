@@ -136,7 +136,6 @@ def verify_matrix(
     metamorphic_method: Optional[str] = None,
     build_fn: Optional[Callable] = None,
     recorder=None,
-    metrics=None,
 ) -> List[Violation]:
     """Full verification of one matrix: differential + metamorphic.
 
@@ -146,7 +145,7 @@ def verify_matrix(
     when no exact method is requested.
     """
     report = run_differential(
-        matrix, methods, build_fn=build_fn, recorder=recorder, metrics=metrics
+        matrix, methods, build_fn=build_fn, recorder=recorder
     )
     violations = report.violations
     if metamorphic:

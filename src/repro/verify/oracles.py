@@ -29,7 +29,7 @@ still produces a structured report the fuzz loop can shrink.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -341,39 +341,28 @@ def run_oracles(
     method: Optional[str] = None,
     oracles: Optional[Sequence[Oracle]] = None,
     recorder=None,
-    metrics=None,
 ) -> List[Violation]:
     """Run every oracle over one construction result.
 
     Returns all violations found (empty means the result is clean).
-    With a ``recorder`` each oracle executes inside a ``verify.oracle``
-    span (attrs: ``oracle``, ``method``, ``violations``); with a
-    ``metrics`` registry every violation bumps the
-    ``verify.violations{oracle=...}`` counter -- the serving layer's
-    always-on signal that an engine started lying.
+    Each oracle executes inside a ``verify.oracle`` span (attrs:
+    ``oracle``, ``method``, ``violations``) on ``recorder``, whose
+    metrics registry derives the ``verify.violations{oracle=...}``
+    counter from it -- the serving layer's always-on signal that an
+    engine started lying.
     """
-    from repro.obs.metrics import as_metrics
     from repro.obs.recorder import as_recorder
 
     rec = as_recorder(recorder)
-    registry = as_metrics(metrics)
     ctx = VerificationContext(
         tree=tree, matrix=matrix, reported_cost=reported_cost, method=method
     )
     violations: List[Violation] = []
-    counter = registry.counter(
-        "verify.violations",
-        "Oracle violations found by result verification.",
-        labelnames=("oracle",),
-    )
     for oracle in oracles if oracles is not None else DEFAULT_ORACLES:
         with rec.span(
             "verify.oracle", oracle=oracle.name, method=method or ""
         ) as span:
             found = oracle(ctx)
-            if rec.enabled:
-                span.attrs["violations"] = len(found)
-        if found:
-            counter.inc(len(found), oracle=oracle.name)
+            span.attrs["violations"] = len(found)
         violations.extend(found)
     return violations

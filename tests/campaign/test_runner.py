@@ -67,10 +67,9 @@ class TestHappyPath:
             assert row["nodes_expanded"] is not None
 
     def test_spans_and_metrics_emitted(self, db, suite):
-        rec = Recorder()
         metrics = MetricsRegistry()
-        result = run_campaign(db, suite, workers=2, recorder=rec,
-                              metrics=metrics)
+        rec = Recorder(metrics=metrics)
+        result = run_campaign(db, suite, workers=2, recorder=rec)
         case_spans = [
             e for e in rec.events
             if isinstance(e, SpanEvent) and e.name == "campaign.case"

@@ -76,12 +76,14 @@ class TestConstructTree:
 class TestConstructTreeMetrics:
     def test_solve_latency_recorded_per_method(self):
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.recorder import NullRecorder
 
         registry = MetricsRegistry()
+        rec = NullRecorder(metrics=registry)
         matrix = clustered_matrix([3, 3], seed=10)
-        construct_tree(matrix, "upgmm", metrics=registry)
-        construct_tree(matrix, "upgmm", metrics=registry)
-        construct_tree(matrix, "compact", metrics=registry)
+        construct_tree(matrix, "upgmm", recorder=rec)
+        construct_tree(matrix, "upgmm", recorder=rec)
+        construct_tree(matrix, "compact", recorder=rec)
         hist = registry.histogram("solve.seconds", labelnames=("method",))
         assert hist.count(method="upgmm") == 2
         assert hist.count(method="compact") == 1
@@ -98,11 +100,14 @@ class TestConstructTreeMetrics:
 
     def test_invalid_method_not_timed(self):
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.recorder import NullRecorder
 
         registry = MetricsRegistry()
         matrix = random_metric_matrix(5, seed=12)
         with pytest.raises(ValueError, match="unknown method"):
-            construct_tree(matrix, "magic", metrics=registry)
+            construct_tree(
+                matrix, "magic", recorder=NullRecorder(metrics=registry)
+            )
         assert registry.snapshot() == {}
 
     def test_multiprocess_method_matches_bnb(self):

@@ -63,15 +63,13 @@ class TestConstructTreeCached:
 
     def test_metrics_counters_track_hits_and_misses(self, square5):
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.recorder import NullRecorder
 
         registry = MetricsRegistry()
+        rec = NullRecorder(metrics=registry)
         cache = ResultCache()
-        construct_tree_cached(
-            square5, "compact", cache=cache, metrics=registry
-        )
-        construct_tree_cached(
-            square5, "compact", cache=cache, metrics=registry
-        )
+        construct_tree_cached(square5, "compact", cache=cache, recorder=rec)
+        construct_tree_cached(square5, "compact", cache=cache, recorder=rec)
         assert registry.counter("cache.miss").value() == 1
         assert registry.counter("cache.hit").value() == 1
         # The miss also timed the underlying solve.

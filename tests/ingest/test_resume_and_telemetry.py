@@ -150,20 +150,20 @@ class TestTelemetry:
 
     def test_stage_latency_histogram_is_populated(self, manifest_path):
         registry = MetricsRegistry()
-        run(manifest_path, Recorder(), metrics=registry)
+        run(manifest_path, Recorder(metrics=registry))
         text = registry.render_prometheus()
         assert "ingest_stage_seconds" in text
         for stage in STAGE_NAMES:
             assert f'stage="{stage}"' in text
 
     def test_run_and_failure_counters(self, manifest_path, tmp_path):
-        rec = Recorder()
         registry = MetricsRegistry()
-        run(manifest_path, rec, metrics=registry)
+        rec = Recorder(metrics=registry)
+        run(manifest_path, rec)
         run_pipeline(
             str(FIXTURES / "truncated.fasta"),
             manifest_path=tmp_path / "bad.json",
-            recorder=rec, metrics=registry,
+            recorder=rec,
         )
         text = registry.render_prometheus()
         assert "ingest_runs_total 1" in text

@@ -1,11 +1,13 @@
 """Unit tests for the live metrics registry (`repro.obs.metrics`)."""
 
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    DERIVATIONS,
     NULL_METRICS,
     OVERFLOW_LABEL,
     REGISTRY,
@@ -17,6 +19,7 @@ from repro.obs.metrics import (
     as_metrics,
     prometheus_name,
 )
+from repro.obs.recorder import NullRecorder, Recorder
 
 
 @pytest.fixture
@@ -289,66 +292,136 @@ class TestInstrumentKinds:
         assert isinstance(registry.histogram("c"), Histogram)
 
 
-class TestForwardingRegistry:
-    """Cross-process metric forwarding: op log in the child, replay in
-    the parent (the process-backend scheduler's transport)."""
+#: One emission per derivation-table row, in the shape its emitter uses:
+#: (kind, attrs).  A new row without a sample fails the table test.
+SAMPLE_EVENTS = {
+    "cache.hit": ("counter", {"key": "0123456789ab"}),
+    "cache.miss": ("counter", {"key": "0123456789ab"}),
+    "queue.rejected": ("counter", {"key": "0123456789ab"}),
+    "queue.deduped": ("counter", {"key": "0123456789ab"}),
+    "worker.crashed": ("counter", {"worker": 0}),
+    "job.settled": ("counter", {"state": "completed"}),
+    "service.worker.error": ("counter", {}),
+    "service.job": ("span", {"job": "job-1", "method": "compact",
+                             "cache": "miss", "backend": "thread"}),
+    "solve": ("span", {"method": "bnb"}),
+    "ingest.stage": ("span", {"stage": "qc", "index": 1}),
+    "ingest.run": ("counter", {}),
+    "ingest.failure": ("counter", {}),
+    "verify.oracle": ("span", {"oracle": "cost", "method": "bnb",
+                               "violations": 2}),
+    "campaign.case": ("span", {"case": "c1", "state": "done"}),
+    "bnb.progress": ("counter", {"gap": 0.25, "nodes_per_second": 900.0,
+                                 "final": False}),
+}
 
-    def _forwarded(self):
-        from repro.obs.metrics import ForwardingMetricsRegistry
 
-        child = ForwardingMetricsRegistry()
-        child.counter("jobs.done", "Jobs finished.").inc()
-        child.counter(
-            "prunes", "Prunes by rule.", labelnames=("rule",)
-        ).inc(3, rule="bound")
-        child.histogram("solve.seconds", "Solve latency.").observe(0.25)
-        return child
+def _ticking_clock():
+    ticks = iter(range(10_000))
+    return lambda: 0.5 * next(ticks)
 
-    def test_ops_replay_into_parent(self):
-        from repro.obs.metrics import replay_metric_ops
 
-        child = self._forwarded()
+def _emit(rec, name):
+    kind, attrs = SAMPLE_EVENTS[name]
+    if kind == "span":
+        with rec.span(name, **attrs):
+            pass
+    else:
+        rec.counter(name, **attrs)
+
+
+class TestDerivationTable:
+    """Every counter, histogram and progress gauge comes from events."""
+
+    @pytest.mark.parametrize("name", sorted(DERIVATIONS))
+    def test_trace_on_and_off_derive_the_same_metrics(self, name):
+        traced, untraced = MetricsRegistry(), MetricsRegistry()
+        _emit(Recorder(_ticking_clock(), metrics=traced), name)
+        _emit(NullRecorder(_ticking_clock(), metrics=untraced), name)
+        snapshot = traced.snapshot()
+        assert snapshot == untraced.snapshot()
+        for row in DERIVATIONS[name]:
+            assert snapshot[row.metric]["series"], row.metric
+
+    def test_rows_keep_their_exposition_names_and_labels(self):
+        registry = MetricsRegistry()
+        rec = NullRecorder(_ticking_clock(), metrics=registry)
+        for name in ("service.job", "job.settled", "cache.hit"):
+            _emit(rec, name)
+        text = registry.render_prometheus()
+        assert (
+            "# HELP service_job_seconds End-to-end job execution latency, "
+            "per method and cache outcome.\n"
+        ) in text
+        assert 'service_job_seconds_count{method="compact",cache="miss"} 1' \
+            in text
+        assert 'service_jobs_total{state="completed"} 1' in text
+        assert "cache_hit_total 1" in text
+
+    def test_untraced_names_build_nothing(self):
+        rec = NullRecorder(metrics=MetricsRegistry())
+        assert rec.span("bnb.solve") is rec._null_context
+        assert rec.span("solve", method="bnb") is not rec._null_context
+        off = NullRecorder(metrics=NULL_METRICS)
+        assert off.span("solve", method="bnb") is off._null_context
+
+    def test_zero_violations_register_no_series(self):
+        registry = MetricsRegistry()
+        with NullRecorder(metrics=registry).span(
+            "verify.oracle", oracle="cost", violations=0
+        ):
+            pass
+        assert registry.snapshot()["verify.violations"]["series"] == []
+
+    def test_every_derived_metric_is_documented(self):
+        doc = (
+            Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+        ).read_text()
+        for rows in DERIVATIONS.values():
+            for row in rows:
+                assert f"`{row.metric}`" in doc, row.metric
+
+
+class TestShippedEvents:
+    """Cross-process metrics: a worker's serialized events, ingested by
+    the parent's recorder, feed the parent's registry."""
+
+    def _shipped(self):
+        child = Recorder(_ticking_clock(), metrics=NULL_METRICS)
+        for name in ("solve", "cache.miss", "verify.oracle"):
+            _emit(child, name)
+        with child.span("bnb.solve"):
+            child.counter("bnb.nodes_expanded", 42)
+        return [event.to_json() for event in child.events]
+
+    def test_child_events_feed_parent_registry(self):
         parent = MetricsRegistry()
-        replayed = replay_metric_ops(parent, child.drain_ops())
-        assert replayed == 3
+        NullRecorder(metrics=parent).ingest(self._shipped(), offset=5.0)
         snap = parent.snapshot()
-        assert snap["jobs.done"]["series"][0]["value"] == 1.0
-        prune = snap["prunes"]["series"][0]
-        assert prune == {"labels": {"rule": "bound"}, "value": 3.0}
-        solve = snap["solve.seconds"]["series"][0]
-        assert solve["count"] == 1
+        assert snap["solve.seconds"]["series"][0]["count"] == 1
+        assert snap["cache.miss"]["series"][0]["value"] == 1.0
+        assert snap["verify.violations"]["series"] == [
+            {"labels": {"oracle": "cost"}, "value": 2.0},
+        ]
 
-    def test_child_still_records_locally(self):
-        child = self._forwarded()
-        assert child.snapshot()["jobs.done"]["series"][0]["value"] == 1.0
-
-    def test_drain_clears_the_log(self):
-        child = self._forwarded()
-        assert child.drain_ops()
-        assert child.drain_ops() == []
-
-    def test_ops_survive_pickling(self):
+    def test_shipped_events_survive_pickling(self):
         import pickle
 
-        from repro.obs.metrics import replay_metric_ops
-
-        ops = pickle.loads(pickle.dumps(self._forwarded().drain_ops()))
+        events = pickle.loads(pickle.dumps(self._shipped()))
         parent = MetricsRegistry()
-        assert replay_metric_ops(parent, ops) == 3
+        assert NullRecorder(metrics=parent).ingest(events) == 3
+        assert "solve.seconds" in parent.snapshot()
 
-    def test_replay_accumulates_with_existing_series(self):
-        from repro.obs.metrics import replay_metric_ops
-
+    def test_ingest_accumulates_with_existing_series(self):
         parent = MetricsRegistry()
-        parent.counter("jobs.done", "Jobs finished.").inc(5)
-        replay_metric_ops(parent, self._forwarded().drain_ops())
-        assert parent.snapshot()["jobs.done"]["series"][0]["value"] == 6.0
+        rec = Recorder(metrics=parent)
+        rec.counter("cache.miss")
+        rec.ingest(self._shipped())
+        assert parent.snapshot()["cache.miss"]["series"][0]["value"] == 2.0
+        assert len(rec.spans("bnb.solve")) == 1  # the trace keeps all
 
-    def test_unknown_op_kind_rejected(self):
-        from repro.obs.metrics import replay_metric_ops
-
-        with pytest.raises(ValueError):
-            replay_metric_ops(
-                MetricsRegistry(),
-                [("gauge", "g", "h", [], None, "set", 1.0, {})],
-            )
+    def test_events_outside_the_table_feed_nothing(self):
+        parent = MetricsRegistry()
+        shipped = [e for e in self._shipped() if e["name"] == "bnb.solve"]
+        assert NullRecorder(metrics=parent).ingest(shipped) == 0
+        assert parent.snapshot() == {}

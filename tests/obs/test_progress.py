@@ -17,10 +17,10 @@ from repro.obs import (
     NULL_RECORDER,
     CounterEvent,
     MetricsRegistry,
+    NullRecorder,
     ProgressTracker,
     Recorder,
     current_progress,
-    format_progress_line,
     progress_context,
     trace_context,
 )
@@ -168,7 +168,7 @@ class TestSnapshots:
         metrics = MetricsRegistry()
         tracker = ProgressTracker(
             interval_seconds=0.0,
-            metrics=metrics,
+            recorder=NullRecorder(metrics=metrics),
             sink=seen.append,
             clock=FakeClock(),
         )

@@ -5,6 +5,7 @@ import pytest
 from repro.bnb.sequential import exact_mut
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.matrix.generators import random_metric_matrix
+from repro.obs.progress import ProgressTracker, progress_context
 from repro.parallel.multiprocess import multiprocess_mut
 from repro.tree.checks import dominates_matrix, is_valid_ultrametric_tree
 
@@ -53,3 +54,23 @@ class TestMultiprocess:
         m = random_metric_matrix(9, seed=9)
         result = multiprocess_mut(m, n_workers=2, relationship_33=True)
         assert result.cost == pytest.approx(exact_mut(m).cost)
+
+    @pytest.mark.parametrize("interval", [0.002, 0.0])
+    def test_progress_ticks_while_workers_search(self, interval):
+        """Worker 0's stride hook and the master's join loop both tick, so
+        live progress does not freeze between pre-branch and the end."""
+        m = random_metric_matrix(20, seed=3)
+        snapshots = []
+        tracker = ProgressTracker(
+            interval_seconds=interval, sink=snapshots.append
+        )
+        with progress_context(tracker):
+            result = multiprocess_mut(m, n_workers=2)
+        assert tracker.reports > 2
+        final = tracker.latest
+        assert final["final"] is True
+        assert final["incumbent_cost"] == result.cost
+        assert final["gap"] == 0.0
+        expanded = [snap["nodes_expanded"] for snap in snapshots]
+        assert expanded == sorted(expanded)
+        assert expanded[-1] == result.nodes_expanded

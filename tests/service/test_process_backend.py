@@ -7,7 +7,6 @@ under every multiprocessing start method (``fork`` closures would work,
 
 import os
 import signal
-import threading
 import time
 
 import pytest
@@ -17,11 +16,14 @@ from repro.matrix.generators import clustered_matrix, random_metric_matrix
 from repro.obs import MetricsRegistry, Recorder
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobState
+from repro.obs.metrics import DERIVATIONS
 from repro.service.scheduler import (
     BACKENDS,
     PROCESS_DEFAULT_METHODS,
     Scheduler,
+    _process_job_task,
     select_backend,
+    solve_payload,
 )
 
 
@@ -141,15 +143,35 @@ class TestTelemetryForwarding:
         for span in rec.spans():
             assert t0 <= span.start <= span.end <= t1, span.name
 
-    def test_child_metrics_replayed_into_parent_registry(self, matrix):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_child_metrics_replayed_into_parent_registry(
+        self, matrix, backend
+    ):
         metrics = MetricsRegistry()
         with Scheduler(
-            workers=1, backend="process", metrics=metrics
+            workers=1, backend=backend, metrics=metrics
         ) as sched:
-            sched.submit(matrix, "compact").result(60.0)
-        snapshot = metrics.snapshot()
-        solve_keys = [k for k in snapshot if "solve.seconds" in k]
-        assert solve_keys, sorted(snapshot)
+            sched.submit(matrix, "upgmm").result(60.0)
+        solve = metrics.snapshot().get("solve.seconds")
+        assert solve is not None, sorted(metrics.snapshot())
+        assert solve["series"] == [
+            {"labels": {"method": "upgmm"}, "count": 1,
+             "sum": solve["series"][0]["sum"]},
+        ]
+
+    def test_untraced_child_ships_only_derived_events(self):
+        """With the parent not tracing, a cold solve ships the events the
+        metrics table reads -- the ``solve`` span -- not its trace."""
+        matrix = clustered_matrix([7, 7, 6], seed=4)
+        task = (
+            matrix.values.tolist(), list(matrix.labels), "compact", {},
+            None, False,
+        )
+        out = _process_job_task(solve_payload, task)
+        names = [event["name"] for event in out["events"]]
+        assert set(names) <= set(DERIVATIONS), names
+        assert "solve" in names
+        assert out["payload"]["n_species"] == 20
 
 
 class TestChildFailures:

@@ -179,8 +179,8 @@ class TestCrashIsolation:
 
 class TestObservabilityWiring:
     def test_spans_and_counters(self, result, matrix):
-        recorder = Recorder()
         registry = MetricsRegistry()
+        recorder = Recorder(metrics=registry)
         result.tree.root.leaves()[0].height = 0.5  # trip structure oracle
         found = run_oracles(
             result.tree,
@@ -188,7 +188,6 @@ class TestObservabilityWiring:
             reported_cost=result.cost,
             method="bnb",
             recorder=recorder,
-            metrics=registry,
         )
         assert found
         spans = recorder.spans("verify.oracle")
